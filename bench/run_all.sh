@@ -3,22 +3,17 @@
 # binary on stdout, ready to append to a BENCH_*.json trajectory file:
 #
 #   {"bench":"e7_distance_query","threads":8,"shards":1,
-#    "scheduler":"auto","steal_variance":1,"optimize":"all",
-#    "updates":0,"incremental":1,
+#    "optimize":"all","updates":0,"incremental":1,
 #    "context":{...},"benchmarks":[...]}
 #
-# `threads`, `shards`, `scheduler`, `steal_variance`, and `optimize`
-# record the evaluation thread count, relation-shard count, stage
-# scheduler, auto-scheduler flip threshold, and plan-optimizer pass
-# selection the bench binaries were run with. The benches default to
-# num_threads=1 / num_shards=1 / the auto scheduler (the library
-# default, which at CV threshold 1.0 picks static or stealing per
-# stage; E1..E8 are serial and unsharded; E9 sweeps thread counts, E10
-# sweeps (threads, shards), E11 sweeps (threads, scheduler incl. auto),
-# and E12 sweeps the optimizer pass selection per series, carried in
-# their *counters*), so the fields default to 1/1/auto/1/all — set
+# `threads`, `shards`, and `optimize` record the evaluation thread
+# count, relation-shard count, and plan-optimizer pass selection the
+# bench binaries were run with. The benches default to num_threads=1 /
+# num_shards=1 (E1..E8 are serial and unsharded; E9 sweeps thread
+# counts, E10 sweeps (threads, shards), E11 sweeps threads on a skewed
+# stage, and E12 sweeps the optimizer pass selection per series,
+# carried in their *counters*), so the fields default to 1/1/all — set
 # INFLOG_THREADS=N / INFLOG_SHARDS=S /
-# INFLOG_SCHEDULER=static|stealing|auto / INFLOG_STEAL_VARIANCE=V /
 # INFLOG_OPTIMIZE=all|none|<comma list of pass tokens> only when
 # actually running a build/flag combination that evaluates with those
 # values. The valid pass tokens are whatever the library exports —
@@ -32,9 +27,8 @@
 # --smoke runs every series for a single short repetition
 # (--benchmark_min_time=0.01): a cheap CI-sized sweep whose only job is
 # to prove each bench binary still builds, runs, and passes its built-in
-# serial cross-checks — including E11's check that --scheduler=auto (the
-# library default) flips its skewed stage to stealing. Timing numbers
-# from a smoke run are NOT trajectory material.
+# serial cross-checks. Timing numbers from a smoke run are NOT
+# trajectory material.
 #
 # Examples:
 #   bench/run_all.sh                           # default build dir ./build
@@ -81,35 +75,13 @@ case "$shards" in
     ;;
 esac
 
-scheduler="${INFLOG_SCHEDULER:-auto}"
-case "$scheduler" in
-  auto|static|stealing) ;;
-  *)
-    echo "error: INFLOG_SCHEDULER must be 'auto', 'static' or" \
-      "'stealing', got '$scheduler'" >&2
-    exit 1
-    ;;
-esac
-
-# The auto scheduler's CV flip threshold (the library default is 1.0).
-# Must be a JSON-valid number (jq --argjson below), so a bare leading or
-# trailing dot is rejected too.
-steal_variance="${INFLOG_STEAL_VARIANCE:-1}"
-case "$steal_variance" in
-  ''|*[!0-9.]*|*.*.*|.*|*.)
-    echo "error: INFLOG_STEAL_VARIANCE must be a non-negative number," \
-      "got '$steal_variance'" >&2
-    exit 1
-    ;;
-esac
-
 # E13's update-stream configuration: `updates` records the stream length
 # per iteration the run was driven with (0 = the bench's built-in
 # default), `incremental` whether maintenance ran incrementally (1, the
 # default) or every update was forced through the recompute oracle (0).
 # Both are trajectory metadata only — the bench binaries read their own
 # INFLOG_E13_* environment; these fields keep the sweep configuration
-# visible next to threads/shards/scheduler.
+# visible next to threads/shards.
 updates="${INFLOG_UPDATES:-0}"
 case "$updates" in
   ''|*[!0-9]*)
@@ -225,21 +197,19 @@ for bin in "$build_dir"/e[0-9]_* "$build_dir"/e[0-9][0-9]_*; do
     # A filter that matches nothing leaves the binary silent; keep one
     # line per bench anyway so trajectories stay aligned.
     printf \
-      '{"bench":"%s","threads":%s,"shards":%s,"scheduler":"%s","steal_variance":%s,"optimize":"%s","updates":%s,"incremental":%s,"sat_preprocess":%s,"sat_portfolio":%s,"serve_threads":%s,"cache":%s,"context":null,"benchmarks":[]}\n' \
-      "$name" "$threads" "$shards" "$scheduler" "$steal_variance" \
-      "$optimize" "$updates" "$incremental" "$sat_preprocess" \
-      "$sat_portfolio" "$serve_threads" "$cache"
+      '{"bench":"%s","threads":%s,"shards":%s,"optimize":"%s","updates":%s,"incremental":%s,"sat_preprocess":%s,"sat_portfolio":%s,"serve_threads":%s,"cache":%s,"context":null,"benchmarks":[]}\n' \
+      "$name" "$threads" "$shards" "$optimize" "$updates" \
+      "$incremental" "$sat_preprocess" "$sat_portfolio" \
+      "$serve_threads" "$cache"
     continue
   fi
   jq -c --arg bench "$name" --argjson threads "$threads" \
-    --argjson shards "$shards" --arg scheduler "$scheduler" \
-    --argjson steal_variance "$steal_variance" --arg optimize "$optimize" \
+    --argjson shards "$shards" --arg optimize "$optimize" \
     --argjson updates "$updates" --argjson incremental "$incremental" \
     --argjson sat_preprocess "$sat_preprocess" \
     --argjson sat_portfolio "$sat_portfolio" \
     --argjson serve_threads "$serve_threads" --argjson cache "$cache" \
     '{bench: $bench, threads: $threads, shards: $shards,
-      scheduler: $scheduler, steal_variance: $steal_variance,
       optimize: $optimize, updates: $updates, incremental: $incremental,
       sat_preprocess: $sat_preprocess, sat_portfolio: $sat_portfolio,
       serve_threads: $serve_threads, cache: $cache,

@@ -2,9 +2,8 @@
 // under a chosen semantics — the downstream-user entry point.
 //
 // Usage:
-//   inflog_cli [--threads=N] [--shards=S]
-//     [--scheduler=auto|static|stealing] [--min-slice-rows=R]
-//     [--steal-variance=V] [--optimize=LIST] [--list-optimize-passes]
+//   inflog_cli [--threads=N] [--shards=S] [--min-slice-rows=R]
+//     [--optimize=LIST] [--list-optimize-passes]
 //     [--query=NAMES] [--reject-unsafe-negation] [--stats]
 //     [--sat-preprocess=0|1] [--sat-deletion=0|1] [--sat-portfolio=K]
 //     [--sat-reduce-interval=N] [--dump-cnf=FILE]
@@ -21,17 +20,12 @@
 // hardware concurrency; --threads=1 is the serial baseline). --shards=S
 // hash-shards the IDB relations S ways — S a power of two ≤ 64 — so the
 // stage merge parallelizes shard-wise (default 0 = auto: one shard per
-// thread; --shards=1 is the unsharded layout). --scheduler picks how
-// parallel stages partition their delta rows: auto (default; per stage,
-// flip to work stealing when the estimated slice-work variance is high,
-// otherwise keep the static slicer), static (up-front equal-row slices)
-// or stealing (per-worker deques with dynamic chunk splitting — faster
-// on skewed stages, see bench E11). --min-slice-rows=R tunes the serial
-// cutoff / slice granularity / tiny-plan batching threshold (0 = default
-// 64), and --steal-variance=V the auto scheduler's coefficient-of-
-// variation flip threshold (0 = default 1.0; lower steals more eagerly).
-// Results are deterministic and identical for every (threads, shards,
-// scheduler, min-slice-rows, steal-variance) combination.
+// thread; --shards=1 is the unsharded layout). Parallel stages cut their
+// delta rows into equal-row slices, about four per thread, claimed from a
+// shared counter. --min-slice-rows=R tunes the serial cutoff / slice
+// granularity / tiny-plan batching threshold (0 = default 64). Results
+// are deterministic and identical for every (threads, shards,
+// min-slice-rows) combination.
 // --optimize=LIST selects the optimizer passes for the relational
 // pipelines (inflationary, stratified): "all" (the default), "none"
 // (today's greedy plans exactly), or a comma list of dce, reorder,
@@ -48,9 +42,10 @@
 // negated literal has a variable bound by no positive body literal (by
 // default such rules get the paper's active-domain reading). --stats
 // prints the executor counters (index probes, posting-list
-// intersections, rows matched, steals, auto-scheduler decisions, slice
-// histogram, ...) after the result, so bench numbers can be explained
-// from the CLI; for modes without a relational fixpoint run it says so.
+// intersections, rows matched, parallel tasks, slice histogram, ...)
+// after the result, so bench numbers can be explained from the CLI; for
+// modes without a relational fixpoint run it says so. Any other
+// argument starting with "--" is rejected as an unknown flag (exit 2).
 //
 // The --sat-* flags configure the CDCL core behind the SAT-backed modes
 // (stable, fixpoints): --sat-preprocess=0|1 toggles the preprocessing
@@ -104,8 +99,7 @@
 // Examples (data files ship in examples/data/):
 //   inflog_cli data/pi1.dlog data/path6.facts fixpoints
 //   inflog_cli --threads=4 --shards=8 data/distance.dlog data/shortcut.facts
-//   inflog_cli --threads=8 --scheduler=stealing --stats \
-//     data/distance.dlog data/shortcut.facts
+//   inflog_cli --threads=8 --stats data/distance.dlog data/shortcut.facts
 
 #include <algorithm>
 #include <cerrno>
@@ -167,9 +161,6 @@ int main(int argc, char** argv) {
   size_t num_shards = 0;
   // 0 = the evaluator default (64 rows).
   size_t min_slice_rows = 0;
-  // 0 = the evaluator default (CV 1.0); only read by --scheduler=auto.
-  double steal_variance = 0;
-  inflog::StageScheduler scheduler = inflog::StageScheduler::kAuto;
   inflog::OptimizerPasses optimizer_passes = inflog::OptimizerPasses::All();
   bool reject_unsafe_negation = false;
   bool print_stats = false;
@@ -291,25 +282,6 @@ int main(int argc, char** argv) {
       }
       continue;
     }
-    if (arg == "--scheduler" || arg.rfind("--scheduler=", 0) == 0) {
-      std::string value;
-      if (arg == "--scheduler") {  // the two-token form, like --threads N
-        if (i + 1 >= argc) {
-          std::cerr << "error: --scheduler requires a value\n";
-          return 2;
-        }
-        value = argv[++i];
-      } else {
-        value = arg.substr(sizeof("--scheduler=") - 1);
-      }
-      auto parsed = inflog::ParseStageScheduler(value);
-      if (!parsed.ok()) {
-        std::cerr << "error: " << parsed.status().ToString() << "\n";
-        return 2;
-      }
-      scheduler = *parsed;
-      continue;
-    }
     if (arg == "--list-optimize-passes") {
       for (const std::string_view token : inflog::OptimizerPassTokens()) {
         std::cout << token << "\n";
@@ -362,30 +334,6 @@ int main(int argc, char** argv) {
       }
       continue;
     }
-    if (arg == "--steal-variance" || arg.rfind("--steal-variance=", 0) == 0) {
-      std::string value;
-      if (arg == "--steal-variance") {  // two-token form
-        if (i + 1 >= argc) {
-          std::cerr << "error: --steal-variance requires a value\n";
-          return 2;
-        }
-        value = argv[++i];
-      } else {
-        value = arg.substr(sizeof("--steal-variance=") - 1);
-      }
-      errno = 0;
-      char* end = nullptr;
-      const double v = std::strtod(value.c_str(), &end);
-      if (value.empty() || end != value.c_str() + value.size() ||
-          errno == ERANGE || !std::isfinite(v) || v < 0) {
-        std::cerr << "error: --steal-variance expects a non-negative "
-                     "number, got '"
-                  << value << "'\n";
-        return 2;
-      }
-      steal_variance = v;
-      continue;
-    }
     int handled = flag_value("--threads", 1024, &num_threads);
     if (handled == 0) {
       // The evaluator clamps shard counts to kMaxShards; reject higher
@@ -426,6 +374,10 @@ int main(int argc, char** argv) {
     }
     if (handled < 0) return 2;
     if (handled > 0) continue;
+    if (arg.rfind("--", 0) == 0) {
+      std::cerr << "error: unknown flag " << arg << "\n";
+      return 2;
+    }
     args.push_back(arg);
   }
   if (num_shards != 0 && (num_shards & (num_shards - 1)) != 0) {
@@ -437,9 +389,8 @@ int main(int argc, char** argv) {
   }
   if (args.size() < 2) {
     std::cerr << "usage: " << argv[0]
-              << " [--threads=N] [--shards=S] "
-                 "[--scheduler=auto|static|stealing] [--min-slice-rows=R] "
-                 "[--steal-variance=V] [--optimize=all|none|dce,reorder,"
+              << " [--threads=N] [--shards=S] [--min-slice-rows=R] "
+                 "[--optimize=all|none|dce,reorder,"
                  "share,magic,inline] [--list-optimize-passes] "
                  "[--query=NAMES] [--reject-unsafe-negation] "
                  "[--stats] [--sat-preprocess=0|1] [--sat-deletion=0|1] "
@@ -507,9 +458,7 @@ int main(int argc, char** argv) {
     inflog::EvalOptions options;
     options.num_threads = num_threads;
     options.num_shards = num_shards;
-    options.scheduler = scheduler;
     options.min_slice_rows = min_slice_rows;
-    options.steal_variance = steal_variance;
     options.reject_unsafe_negation = reject_unsafe_negation;
     options.optimizer_passes = optimizer_passes;
     options.output_predicates = g_query;
@@ -767,13 +716,8 @@ int main(int argc, char** argv) {
                   << "  intersections    " << s->intersections << "\n"
                   << "  enumerations     " << s->enumerations << "\n"
                   << "  parallel_tasks   " << s->parallel_tasks << "\n"
-                  << "  steals           " << s->steals << "\n"
-                  << "  splits           " << s->splits << "\n"
-                  << "  parks            " << s->parks << "\n"
                   << "  slices           " << s->slices << "\n"
                   << "  batched_plans    " << s->batched_plans << "\n"
-                  << "  auto_static      " << s->auto_static_stages << "\n"
-                  << "  auto_stealing    " << s->auto_stealing_stages << "\n"
                   << "  opt_rules_eliminated " << s->opt_rules_eliminated
                   << "\n"
                   << "  opt_plans_reordered  " << s->opt_plans_reordered

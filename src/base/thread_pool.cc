@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <deque>
 #include <exception>
 #include <memory>
 #include <utility>
@@ -55,7 +54,7 @@ void ThreadPool::Submit(std::function<void()> task) {
 
 namespace {
 
-/// First-exception capture shared by both loops: a flag checked before
+/// First-exception capture for ParallelFor: a flag checked before
 /// running a body (so remaining work drains without executing after a
 /// failure) plus the captured exception, written once under a mutex and
 /// rethrown on the calling thread after the barrier.
@@ -140,242 +139,6 @@ void ThreadPool::ParallelFor(size_t n,
     loop->cv.wait(lock, [&] { return loop->done.load() == n; });
   }
   loop->failure.Rethrow();
-}
-
-namespace {
-
-/// One splittable unit of a dynamic loop: rows [begin, end) of an item.
-struct Chunk {
-  size_t item;
-  size_t begin;
-  size_t end;
-};
-
-/// A participant's chunk deque. The owner pushes and pops at the back
-/// (LIFO keeps it working on the halves it just shed, which are hot in
-/// cache); thieves take from the front, where the oldest — and therefore
-/// largest — chunks sit. One mutex per deque: chunks are coarse, so the
-/// lock is uncontended in practice.
-struct WorkDeque {
-  std::mutex mu;
-  std::deque<Chunk> q;
-};
-
-/// Shared state of one ParallelForDynamic run.
-struct DynLoop {
-  DynLoop(const std::vector<size_t>& rows_in, size_t grain,
-          size_t num_participants, const ThreadPool::DynamicBody& b)
-      : rows(rows_in),
-        min_grain(std::max<size_t>(grain, 1)),
-        participants(num_participants),
-        body(b),
-        deques(num_participants) {}
-
-  const std::vector<size_t>& rows;
-  const size_t min_grain;
-  const size_t participants;
-  const ThreadPool::DynamicBody& body;
-  std::vector<WorkDeque> deques;
-  /// Chunks created but not yet fully processed. Splits increment it
-  /// before the parent chunk's decrement, so it cannot reach 0 while any
-  /// chunk exists; the final decrement releases the caller.
-  std::atomic<size_t> unfinished{0};
-  /// Participants currently looking for work; owners of oversized chunks
-  /// shed halves while this is nonzero.
-  std::atomic<size_t> hungry{0};
-  std::atomic<size_t> next_id{1};
-  std::atomic<uint64_t> steals{0};
-  std::atomic<uint64_t> splits{0};
-  std::atomic<uint64_t> parks{0};
-  /// Bumped whenever work appears (a shed half) or the loop drains; a
-  /// hungry participant whose steal sweep found nothing parks until it
-  /// changes, instead of spinning through yield.
-  std::atomic<uint64_t> work_version{0};
-  /// Participants currently blocked in Steal's park; publishers skip the
-  /// park mutex entirely while it is zero.
-  std::atomic<size_t> parked{0};
-  std::mutex park_mu;
-  std::condition_variable park_cv;
-  FailureSlot failure;
-
-  /// Publishes a work/drain event to parked participants. The version
-  /// bump happens first, so a participant that re-checks it before
-  /// blocking never sleeps through this event; the mutex is only taken
-  /// when someone is actually parked (see Steal for the ordering
-  /// argument — the seq_cst version/parked pair makes the unlocked
-  /// fast path safe).
-  void Publish() {
-    work_version.fetch_add(1);
-    if (parked.load() > 0) {
-      std::lock_guard<std::mutex> lock(park_mu);
-      park_cv.notify_all();
-    }
-  }
-
-  bool PopOwn(size_t id, Chunk* out) {
-    WorkDeque& d = deques[id];
-    std::lock_guard<std::mutex> lock(d.mu);
-    if (d.q.empty()) return false;
-    *out = d.q.back();
-    d.q.pop_back();
-    return true;
-  }
-
-  /// Scans the other deques round-robin until a chunk is stolen or the
-  /// loop drains; between failed sweeps the participant parks on the
-  /// loop's condition variable instead of spinning, so the tail of a
-  /// stage with one long unsplittable chunk costs no idle CPU (profiles
-  /// of oversubscribed runs showed the old yield loop competing with the
-  /// one participant that still had work). Wakeups come from Publish():
-  /// every shed half and the final chunk completion bump `work_version`
-  /// first, so the version snapshot taken before the sweep makes the
-  /// unlocked publish path race-free — if the publisher's bump is not
-  /// visible to the wait predicate, its `parked` read (later in seq_cst
-  /// order) sees this participant registered and takes the locked path.
-  bool Steal(size_t id, Chunk* out) {
-    while (true) {
-      const uint64_t version = work_version.load();
-      for (size_t k = 1; k < participants; ++k) {
-        WorkDeque& d = deques[(id + k) % participants];
-        std::lock_guard<std::mutex> lock(d.mu);
-        if (d.q.empty()) continue;
-        *out = d.q.front();
-        d.q.pop_front();
-        steals.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
-      if (unfinished.load(std::memory_order_acquire) == 0) return false;
-      std::unique_lock<std::mutex> lock(park_mu);
-      auto ready = [&] {
-        return work_version.load() != version ||
-               unfinished.load(std::memory_order_acquire) == 0;
-      };
-      if (!ready()) {
-        parked.fetch_add(1);
-        parks.fetch_add(1, std::memory_order_relaxed);
-        park_cv.wait(lock, ready);
-        parked.fetch_sub(1);
-      }
-    }
-  }
-
-  /// Executes one acquired chunk, shedding its upper half back onto the
-  /// participant's own deque while the chunk is oversized (over the
-  /// per-item baseline grain, which matches the static slicer's slice
-  /// size) or while another participant is hungry — down to 2*min_grain,
-  /// below which a slice's staging overhead outweighs the parallelism.
-  void Process(size_t id, Chunk c) {
-    size_t size = c.end - c.begin;
-    const size_t baseline =
-        std::max(2 * min_grain, rows[c.item] / (4 * participants));
-    while (size > 2 * min_grain &&
-           (size > baseline ||
-            hungry.load(std::memory_order_relaxed) > 0)) {
-      const size_t mid = c.begin + size / 2;
-      unfinished.fetch_add(1, std::memory_order_relaxed);
-      {
-        WorkDeque& d = deques[id];
-        std::lock_guard<std::mutex> lock(d.mu);
-        d.q.push_back(Chunk{c.item, mid, c.end});
-      }
-      splits.fetch_add(1, std::memory_order_relaxed);
-      Publish();  // a parked participant can steal the shed half
-      c.end = mid;
-      size = c.end - c.begin;
-    }
-    if (!failure.failed.load(std::memory_order_relaxed)) {
-      try {
-        body(c.item, c.begin, c.end, id);
-      } catch (...) {
-        failure.Capture();
-      }
-    }
-    if (unfinished.fetch_sub(1, std::memory_order_release) == 1) {
-      Publish();  // loop drained: release any parked participants
-    }
-  }
-
-  /// The participant loop: drain own deque, then steal; exit when the
-  /// whole run has drained.
-  void Run(size_t id) {
-    while (true) {
-      Chunk c;
-      if (!PopOwn(id, &c)) {
-        if (unfinished.load(std::memory_order_acquire) == 0) return;
-        hungry.fetch_add(1, std::memory_order_relaxed);
-        const bool got = Steal(id, &c);
-        hungry.fetch_sub(1, std::memory_order_relaxed);
-        if (!got) return;
-      }
-      Process(id, c);
-    }
-  }
-};
-
-}  // namespace
-
-ThreadPool::DynamicLoopStats ThreadPool::ParallelForDynamic(
-    const std::vector<size_t>& item_rows, size_t min_grain,
-    const DynamicBody& body) {
-  return ParallelForDynamic(item_rows, {}, min_grain, body);
-}
-
-ThreadPool::DynamicLoopStats ThreadPool::ParallelForDynamic(
-    const std::vector<size_t>& item_rows,
-    const std::vector<uint64_t>& item_weights, size_t min_grain,
-    const DynamicBody& body) {
-  DynamicLoopStats stats;
-  const size_t n = item_rows.size();
-  if (n == 0) return stats;
-  if (workers_.empty()) {
-    // Inline path: whole items in order — the serial execution order.
-    for (size_t i = 0; i < n; ++i) body(i, 0, item_rows[i], 0);
-    return stats;
-  }
-
-  const size_t participants = workers_.size() + 1;
-  auto loop =
-      std::make_shared<DynLoop>(item_rows, min_grain, participants, body);
-  loop->unfinished.store(n, std::memory_order_relaxed);
-  if (item_weights.size() == n && n > 1) {
-    // LPT deal: heaviest item first onto the least-loaded deque. All tie
-    // breaks are deterministic, so the deal (though not the stealing that
-    // follows) is reproducible run to run.
-    std::vector<size_t> order(n);
-    for (size_t i = 0; i < n; ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return item_weights[a] != item_weights[b]
-                 ? item_weights[a] > item_weights[b]
-                 : a < b;
-    });
-    std::vector<uint64_t> load(participants, 0);
-    for (const size_t i : order) {
-      size_t best = 0;
-      for (size_t p = 1; p < participants; ++p) {
-        if (load[p] < load[best]) best = p;
-      }
-      loop->deques[best].q.push_back(Chunk{i, 0, item_rows[i]});
-      load[best] += std::max<uint64_t>(item_weights[i], 1);
-    }
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      loop->deques[i % participants].q.push_back(Chunk{i, 0, item_rows[i]});
-    }
-  }
-  for (size_t w = 0; w < workers_.size(); ++w) {
-    Submit([loop] {
-      loop->Run(loop->next_id.fetch_add(1, std::memory_order_relaxed));
-    });
-  }
-  loop->Run(0);
-  // The caller's Run returned only after observing unfinished == 0 with
-  // acquire order, so every body call (and its writes) has finished;
-  // straggler helpers can only observe empty deques and exit.
-  stats.steals = loop->steals.load(std::memory_order_relaxed);
-  stats.splits = loop->splits.load(std::memory_order_relaxed);
-  stats.parks = loop->parks.load(std::memory_order_relaxed);
-  loop->failure.Rethrow();
-  return stats;
 }
 
 size_t ThreadPool::HardwareConcurrency() {

@@ -1,22 +1,20 @@
 // ThreadPool: a fixed set of worker threads draining one FIFO task queue,
-// plus the two fork/join primitives the parallel fixpoint stage is built
-// on — ParallelFor (static index claiming) and ParallelForDynamic
-// (per-worker deques with work stealing and chunk splitting).
+// plus the fork/join primitive the parallel fixpoint stage is built on —
+// ParallelFor (shared-counter index claiming).
 //
 // Design constraints (see RelationalConsequence::Step):
-//   * Both loops return only when every body call has finished — a full
+//   * ParallelFor returns only when every body call has finished — a full
 //     barrier, so the caller can merge per-task results immediately
 //     afterwards.
 //   * The calling thread participates in the loop, so a pool built with
-//     `extra_workers` workers gives the loops a concurrency of
+//     `extra_workers` workers gives the loop a concurrency of
 //     extra_workers + 1. Total threads used for "--threads=N" is therefore
 //     a pool of N-1 workers.
 //   * ParallelFor claims indices from a shared atomic counter, which
-//     load-balances uneven tasks; ParallelForDynamic additionally splits
-//     oversized chunks while other participants are hungry, so one
-//     pathologically expensive item cannot serialize the loop.
-//     Determinism is the *caller's* job in both cases (tasks must write to
-//     disjoint outputs and be merged in a deterministic key order).
+//     load-balances uneven tasks: a participant that finishes early just
+//     claims the next index. Determinism is the *caller's* job (tasks must
+//     write to disjoint outputs and be merged in a deterministic key
+//     order).
 //   * All queue operations synchronize through one mutex and loop
 //     completion through atomic counters, so writes made by a body call
 //     happen-before the post-barrier reads of its output.
@@ -29,7 +27,6 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <queue>
@@ -65,58 +62,6 @@ class ThreadPool {
   /// exception is rethrown here after the barrier (indices not yet claimed
   /// when the exception was captured may run no body at all).
   void ParallelFor(size_t n, const std::function<void(size_t)>& body);
-
-  /// Counters of one ParallelForDynamic run.
-  struct DynamicLoopStats {
-    uint64_t steals = 0;  ///< Chunks taken from another participant.
-    uint64_t splits = 0;  ///< Chunk halves shed back for others to steal.
-    uint64_t parks = 0;   ///< Times a hungry participant blocked on the
-                          ///< loop's condition variable awaiting work.
-  };
-
-  /// Body of a dynamic loop: process rows [begin, end) of item `item`.
-  /// `worker` identifies the executing participant (0 = the calling
-  /// thread, 1..num_workers() = pool workers), so bodies can write to
-  /// per-participant outputs without locks. Items declared with 0 rows are
-  /// atomic: they get exactly one body(item, 0, 0, worker) call.
-  using DynamicBody = std::function<void(size_t item, size_t begin,
-                                         size_t end, size_t worker)>;
-
-  /// Work-stealing loop over splittable items. `item_rows[i]` is the row
-  /// count of item i; the loop covers every row of every item exactly once
-  /// with body calls over disjoint, ascending ranges, in unspecified
-  /// order and distribution. Scheduling: every participant owns a deque
-  /// (initial chunks are dealt round-robin in item order — or by the
-  /// weighted LPT deal of the overload below), pops its own
-  /// work LIFO, and steals FIFO from others when empty; an acquired chunk
-  /// sheds its upper half back onto the owner's deque while it exceeds
-  /// both 2*min_grain and the per-item baseline grain, or while another
-  /// participant is hungry — so skewed items split exactly as finely as
-  /// the observed imbalance demands and no finer. A participant whose
-  /// steal sweep finds every deque empty parks on a condition variable
-  /// (counted in DynamicLoopStats::parks) until a shed half or the loop's
-  /// completion wakes it, so long single-chunk stage tails burn no CPU
-  /// spinning. Full barrier; first body exception is rethrown on the
-  /// calling thread after the barrier.
-  DynamicLoopStats ParallelForDynamic(const std::vector<size_t>& item_rows,
-                                      size_t min_grain,
-                                      const DynamicBody& body);
-
-  /// ParallelForDynamic with per-item work estimates steering the initial
-  /// deal: instead of dealing chunks round-robin by index, items are
-  /// assigned largest-weight-first to the least-loaded deque (classic LPT
-  /// list scheduling; ties break deterministically — equal weights by
-  /// ascending item index, equal loads by lowest participant id). A good
-  /// deal means the stealing machinery starts balanced and steals only to
-  /// correct estimation error, instead of spending the ramp-up correcting
-  /// a weight-oblivious deal. `item_weights` must be empty (round-robin
-  /// fallback) or have one entry per item; the row coverage contract and
-  /// the barrier are identical to the unweighted overload, and results
-  /// are unaffected either way (the caller merges deterministically).
-  DynamicLoopStats ParallelForDynamic(const std::vector<size_t>& item_rows,
-                                      const std::vector<uint64_t>& item_weights,
-                                      size_t min_grain,
-                                      const DynamicBody& body);
 
   /// std::thread::hardware_concurrency() with a floor of 1 (the standard
   /// allows it to report 0 when unknown).

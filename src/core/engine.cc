@@ -150,9 +150,7 @@ Result<EvalOutcome> Engine::Evaluate(SemanticsKind kind,
       InflationaryOptions opts = options.inflationary;
       opts.context.num_threads = options.num_threads;
       opts.context.num_shards = options.num_shards;
-      opts.context.scheduler = options.scheduler;
       opts.context.min_slice_rows = options.min_slice_rows;
-      opts.context.steal_variance = options.steal_variance;
       opts.context.reject_unsafe_negation = options.reject_unsafe_negation;
       opts.context.optimizer_passes = options.optimizer_passes;
       opts.context.output_predicates = options.output_predicates;
@@ -164,9 +162,7 @@ Result<EvalOutcome> Engine::Evaluate(SemanticsKind kind,
       StratifiedOptions opts = options.stratified;
       opts.context.num_threads = options.num_threads;
       opts.context.num_shards = options.num_shards;
-      opts.context.scheduler = options.scheduler;
       opts.context.min_slice_rows = options.min_slice_rows;
-      opts.context.steal_variance = options.steal_variance;
       opts.context.reject_unsafe_negation = options.reject_unsafe_negation;
       opts.context.optimizer_passes = options.optimizer_passes;
       opts.context.output_predicates = options.output_predicates;
@@ -241,9 +237,7 @@ IncrementalOptions MakeIncrementalOptions(SemanticsKind kind,
   opts.verify = options.verify_incremental;
   opts.context.num_threads = options.num_threads;
   opts.context.num_shards = options.num_shards;
-  opts.context.scheduler = options.scheduler;
   opts.context.min_slice_rows = options.min_slice_rows;
-  opts.context.steal_variance = options.steal_variance;
   opts.context.reject_unsafe_negation = options.reject_unsafe_negation;
   opts.context.optimizer_passes = options.optimizer_passes;
   opts.wellfounded = options.wellfounded;

@@ -70,25 +70,10 @@ struct EvalOptions {
   /// Authoritative for Evaluate(), like num_threads; results are
   /// identical for every (threads, shards) combination.
   size_t num_shards = 1;
-  /// How parallel fixpoint stages partition their delta rows: kAuto (the
-  /// default — per stage, pick the static slicer or work stealing from
-  /// the estimated slice-work variance), kStatic (up-front equal-row
-  /// slices) or kStealing (per-worker deques with dynamic chunk
-  /// splitting, for skewed stages). Authoritative for Evaluate(); inert
-  /// at num_threads == 1 and for the grounded pipelines. Results are
-  /// identical under every scheduler.
-  StageScheduler scheduler = StageScheduler::kAuto;
-  /// Minimum delta rows per stage task (serial cutoff, static slice
-  /// floor, stealing split grain, tiny-plan batching threshold); 0 = the
-  /// built-in default (64). Authoritative for Evaluate(); results are
-  /// identical for every value.
+  /// Minimum delta rows per stage task (serial cutoff, slice floor,
+  /// tiny-plan batching threshold); 0 = the built-in default (64).
+  /// Authoritative for Evaluate(); results are identical for every value.
   size_t min_slice_rows = 0;
-  /// The auto scheduler's flip threshold: a stage switches to work
-  /// stealing when the coefficient of variation of its estimated
-  /// per-task work exceeds this; 0 = the built-in default (1.0).
-  /// Authoritative for Evaluate(); inert for the explicit schedulers;
-  /// results are identical for every value.
-  double steal_variance = 0;
   /// If true, Evaluate fails with InvalidArgument when a rule has an
   /// unbound variable under negation (CheckNegationSafety) instead of
   /// evaluating it under the active-domain reading. Applies to all four

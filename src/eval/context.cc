@@ -9,29 +9,6 @@
 
 namespace inflog {
 
-std::string_view StageSchedulerName(StageScheduler scheduler) {
-  switch (scheduler) {
-    case StageScheduler::kStatic:
-      return "static";
-    case StageScheduler::kStealing:
-      return "stealing";
-    case StageScheduler::kAuto:
-      return "auto";
-  }
-  INFLOG_CHECK(false) << "bad StageScheduler";
-  return "";
-}
-
-Result<StageScheduler> ParseStageScheduler(std::string_view name) {
-  for (StageScheduler s : {StageScheduler::kAuto, StageScheduler::kStatic,
-                           StageScheduler::kStealing}) {
-    if (name == StageSchedulerName(s)) return s;
-  }
-  return Status::InvalidArgument(
-      StrCat("unknown stage scheduler: ", std::string(name),
-             " (expected auto|static|stealing)"));
-}
-
 Result<EvalContext> EvalContext::Create(const Program& program,
                                         const Database& database,
                                         const EvalContextOptions& options) {
@@ -97,12 +74,6 @@ size_t ResolvedMinSliceRows(const EvalContextOptions& options) {
              : options.min_slice_rows;
 }
 
-double ResolvedStealVariance(const EvalContextOptions& options) {
-  return options.steal_variance == 0
-             ? EvalContextOptions::kDefaultStealVariance
-             : options.steal_variance;
-}
-
 Status EvalContext::Bind(const EvalContextOptions& options) {
   if (options.reject_unsafe_negation) {
     INFLOG_RETURN_IF_ERROR(CheckNegationSafety(*program_));
@@ -110,9 +81,7 @@ Status EvalContext::Bind(const EvalContextOptions& options) {
   use_join_indexes_ = options.use_join_indexes;
   num_threads_ = ResolvedNumThreads(options);
   num_shards_ = ResolvedNumShards(options);
-  scheduler_ = options.scheduler;
   min_slice_rows_ = ResolvedMinSliceRows(options);
-  steal_variance_ = ResolvedStealVariance(options);
   optimizer_passes_ = options.optimizer_passes;
   for (const std::string& name : options.output_predicates) {
     Result<uint32_t> pred = program_->FindPredicate(name);

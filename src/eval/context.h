@@ -25,7 +25,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/ast/program.h"
@@ -35,37 +34,6 @@
 #include "src/relation/database.h"
 
 namespace inflog {
-
-/// How a parallel fixpoint stage partitions its delta rows across the
-/// thread pool. All schedulers produce bit-identical relations, stage
-/// sizes, and executor stats (tests/parallel_determinism_test.cc).
-enum class StageScheduler {
-  /// Cut the per-shard delta ranges into equal-row slices up front (about
-  /// four per thread) and claim them from a shared counter. Cheap and
-  /// predictable, but a slice whose rows hide most of the stage's join
-  /// work serializes the stage on one thread.
-  kStatic,
-  /// Work stealing: one chunk per delta plan, dealt to per-worker deques;
-  /// idle workers steal, and oversized chunks split in half while anyone
-  /// is hungry (down to 2 × min_slice_rows), so pathologically skewed
-  /// stages keep every worker busy (ThreadPool::ParallelForDynamic).
-  kStealing,
-  /// Per-stage choice between the two (the default): before fan-out the
-  /// stage estimates each static task's join work (delta rows weighted by
-  /// the probed posting-list lengths, sampled) and flips to kStealing
-  /// only when the estimates' coefficient of variation exceeds
-  /// EvalContextOptions::steal_variance — skewed stages get the stealing
-  /// machinery, uniform ones skip its overhead. The decisions are
-  /// surfaced as EvalStats::auto_{static,stealing}_stages.
-  kAuto,
-};
-
-/// Canonical lowercase name ("auto" / "static" / "stealing"), for CLIs
-/// and logs.
-std::string_view StageSchedulerName(StageScheduler scheduler);
-
-/// Parses a StageSchedulerName back; InvalidArgument on unknown names.
-Result<StageScheduler> ParseStageScheduler(std::string_view name);
 
 /// Options controlling predicate binding.
 struct EvalContextOptions {
@@ -91,26 +59,12 @@ struct EvalContextOptions {
   /// sizes, and stats are identical for every (threads, shards)
   /// combination.
   size_t num_shards = 1;
-  /// How parallel stages partition their delta rows (inert when
-  /// num_threads == 1). kAuto (the default) picks per stage between the
-  /// static slicer and work stealing from the estimated slice-work
-  /// variance; the explicit kinds pin one machinery. Results are
-  /// identical under every choice.
-  StageScheduler scheduler = StageScheduler::kAuto;
   /// Minimum delta rows worth a stage task of their own: stages with
-  /// fewer total input rows run serially, static slices never go below
-  /// it, the stealing scheduler stops splitting chunks at twice this
-  /// size, and delta plans with fewer rows are batched together into one
+  /// fewer total input rows run serially, delta slices never go below
+  /// it, and delta plans with fewer rows are batched together into one
   /// task. 0 picks kDefaultMinSliceRows. Results are identical for every
   /// value; this only moves the parallelism/overhead tradeoff.
   size_t min_slice_rows = 0;
-  /// kAuto's flip threshold: a stage switches to work stealing when the
-  /// coefficient of variation (stddev / mean) of its estimated per-task
-  /// work exceeds this. Lower values steal more eagerly; raise it if the
-  /// estimates misfire on a workload whose skew the static slicer
-  /// handles fine. 0 picks kDefaultStealVariance; inert for the explicit
-  /// schedulers. Results are identical for every value.
-  double steal_variance = 0;
   /// If true, binding fails (InvalidArgument) when any rule carries a
   /// negated literal over a variable bound by no positive body literal
   /// (CheckNegationSafety in src/ast/analysis.h). Off by default: the
@@ -134,11 +88,6 @@ struct EvalContextOptions {
   static constexpr size_t kMaxShards = 64;
   /// Default for min_slice_rows (the pre-tunable hard constant).
   static constexpr size_t kDefaultMinSliceRows = 64;
-  /// Default for steal_variance: at CV 1.0 the work hidden in the
-  /// outlier tasks rivals the whole rest of the stage, the point where
-  /// stealing's chunk staging pays for itself (bench E11 sits far above,
-  /// uniform stages far below).
-  static constexpr double kDefaultStealVariance = 1.0;
 };
 
 /// `options.num_threads` with 0 resolved to the hardware concurrency.
@@ -153,9 +102,6 @@ size_t ResolvedNumShards(const EvalContextOptions& options);
 
 /// `options.min_slice_rows` with 0 resolved to kDefaultMinSliceRows.
 size_t ResolvedMinSliceRows(const EvalContextOptions& options);
-
-/// `options.steal_variance` with 0 resolved to kDefaultStealVariance.
-double ResolvedStealVariance(const EvalContextOptions& options);
 
 /// Per-run binding of predicates to relations plus the index cache.
 class EvalContext {
@@ -214,16 +160,9 @@ class EvalContext {
   /// (MakeEmptyIdbState(program, num_shards())).
   size_t num_shards() const { return num_shards_; }
 
-  /// The stage scheduler for parallel fixpoint stages.
-  StageScheduler scheduler() const { return scheduler_; }
-
   /// Resolved minimum slice size (≥ 1; an option of 0 has already been
   /// replaced by EvalContextOptions::kDefaultMinSliceRows).
   size_t min_slice_rows() const { return min_slice_rows_; }
-
-  /// Resolved auto-scheduler flip threshold (> 0; an option of 0 has
-  /// already been replaced by EvalContextOptions::kDefaultStealVariance).
-  double steal_variance() const { return steal_variance_; }
 
   /// The plan-optimizer pass selection for this run.
   const OptimizerPasses& optimizer_passes() const { return optimizer_passes_; }
@@ -255,9 +194,7 @@ class EvalContext {
   bool use_join_indexes_ = true;
   size_t num_threads_ = 1;
   size_t num_shards_ = 1;
-  StageScheduler scheduler_ = StageScheduler::kAuto;
   size_t min_slice_rows_ = EvalContextOptions::kDefaultMinSliceRows;
-  double steal_variance_ = EvalContextOptions::kDefaultStealVariance;
   OptimizerPasses optimizer_passes_;
   std::vector<uint32_t> output_preds_;
   // Relations for EDB predicates bound as empty (allow_missing_edb).

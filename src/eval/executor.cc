@@ -284,99 +284,4 @@ void ExecutePlanCounted(const EvalContext& ctx, const RulePlan& plan,
       .Run();
 }
 
-DeltaWorkEstimate EstimateDeltaWork(
-    const EvalContext& ctx, const RulePlan& plan, const IdbState& state,
-    const std::vector<ShardRange>& delta_ranges, size_t max_samples) {
-  DeltaWorkEstimate est;
-  for (const auto& [begin, end] : delta_ranges) est.rows += end - begin;
-  if (est.rows == 0 || plan.never_fires || max_samples == 0) return est;
-
-  // Locate the delta scan (whose row values seed the key) and the first
-  // subsequent index probe with at least one key column resolvable from
-  // the delta row alone — the probe whose fan-out dominates the row's
-  // cost. Variables bound between the two (kBindEq, deeper matches)
-  // are ignored: the estimate only needs the dominant, cheap-to-read
-  // signal, not the exact cost. Shared-intermediate scans (subplan
-  // sharing) have no resolvable predicate and never probe, so they are
-  // skipped. When no probe qualifies — the first match is a full scan or
-  // indexes are disabled — every row costs the same, and that uniform
-  // cost is the first joined relation's full cardinality (the rows each
-  // scan walks), not 1: a scan-heavy plan's rows are few but expensive.
-  const Rule& rule = ctx.program().rules()[plan.rule_index];
-  std::vector<int> delta_col(rule.num_vars, -1);  // var id -> delta column
-  const PlanOp* delta_op = nullptr;
-  const PlanOp* probe_op = nullptr;
-  const PlanOp* first_match = nullptr;
-  for (const PlanOp& op : plan.ops) {
-    if (op.kind != PlanOp::Kind::kMatch || op.shared_source >= 0) continue;
-    if (op.is_delta_scan) {
-      delta_op = &op;
-      for (size_t i = 0; i < op.args.size(); ++i) {
-        const Term& t = op.args[i];
-        if (!t.IsConstant() && delta_col[t.id] < 0) {
-          delta_col[t.id] = static_cast<int>(i);
-        }
-      }
-      continue;
-    }
-    if (delta_op == nullptr) continue;
-    if (first_match == nullptr) first_match = &op;
-    if (op.key_cols.empty() || !ctx.use_join_indexes()) continue;
-    for (size_t col : op.key_cols) {
-      const Term& t = op.args[col];
-      if (t.IsConstant() || delta_col[t.id] >= 0) {
-        probe_op = &op;
-        break;
-      }
-    }
-    if (probe_op != nullptr) break;
-  }
-  if (delta_op == nullptr) return est;
-  if (probe_op == nullptr) {
-    if (first_match != nullptr &&
-        (first_match->key_cols.empty() || !ctx.use_join_indexes())) {
-      est.uniform_cost =
-          1 + ctx.Resolve(first_match->predicate, state).size();
-    }
-    return est;
-  }
-
-  const Relation& delta_rel = ctx.Resolve(delta_op->predicate, state);
-  const Relation& probe_rel = ctx.Resolve(probe_op->predicate, state);
-  std::vector<std::span<const uint32_t>> spans(probe_rel.num_shards());
-  // Ceiling divide: the documented budget is at most max_samples probes.
-  est.stride = (est.rows + max_samples - 1) / max_samples;
-  est.sample_cost.reserve(est.rows / est.stride + 1);
-  size_t linear = 0;
-  for (size_t s = 0; s < delta_ranges.size(); ++s) {
-    const auto [begin, end] = delta_ranges[s];
-    if (begin == end) continue;
-    const Relation::ShardView view = delta_rel.shard(s);
-    for (size_t r = begin; r < end; ++r, ++linear) {
-      if (linear % est.stride != 0) continue;
-      const TupleView row = view.Row(r);
-      // The executor iterates the shortest posting list of the bound key
-      // columns; mirror that with the resolvable ones.
-      uint64_t best = ~uint64_t{0};
-      for (size_t col : probe_op->key_cols) {
-        const Term& t = probe_op->args[col];
-        Value v;
-        if (t.IsConstant()) {
-          v = t.id;
-        } else if (delta_col[t.id] >= 0) {
-          v = row[delta_col[t.id]];
-        } else {
-          continue;
-        }
-        const size_t total =
-            probe_rel.EqualRowsPerShard(col, v, spans.data());
-        best = std::min<uint64_t>(best, total);
-        if (best == 0) break;
-      }
-      est.sample_cost.push_back(1 + (best == ~uint64_t{0} ? 0 : best));
-    }
-  }
-  return est;
-}
-
 }  // namespace inflog

@@ -17,11 +17,10 @@ namespace inflog {
 /// naive-vs-semi-naive ablation benchmarks.
 ///
 /// The first block (derivations .. stages) describes *what* was computed
-/// and is bit-identical across every (threads, shards, scheduler,
-/// min_slice_rows) configuration; the executor block (parallel_tasks ..
-/// slice_hist) describes *how* the work was partitioned and necessarily
-/// varies with the configuration (and, for the stealing scheduler, with
-/// run-to-run timing).
+/// and is bit-identical across every (threads, shards, min_slice_rows)
+/// configuration; the executor block (parallel_tasks .. slice_hist)
+/// describes *how* the work was partitioned and necessarily varies with
+/// the configuration.
 struct EvalStats {
   uint64_t derivations = 0;    ///< Head tuples produced (with duplicates).
   uint64_t new_tuples = 0;     ///< Head tuples that were new in the output.
@@ -32,24 +31,16 @@ struct EvalStats {
   uint64_t enumerations = 0;   ///< Universe elements tried by kEnumerate.
   uint64_t stages = 0;         ///< Iteration stages run (filled by drivers).
   uint64_t parallel_tasks = 0;  ///< Stage tasks run on a thread pool.
-  uint64_t steals = 0;          ///< Chunks a worker took from another's
-                                ///< deque (stealing scheduler only).
-  uint64_t splits = 0;          ///< Chunk halves shed for stealing.
-  uint64_t parks = 0;           ///< Hungry stealing workers that blocked
-                                ///< on the loop's condition variable.
-  uint64_t slices = 0;          ///< Delta slices executed (both
-                                ///< schedulers; full-plan tasks excluded).
-  uint64_t auto_static_stages = 0;    ///< Parallel stages the auto
-                                      ///< scheduler ran with the static
-                                      ///< slicer.
-  uint64_t auto_stealing_stages = 0;  ///< Parallel stages the auto
-                                      ///< scheduler flipped to stealing.
+  uint64_t steals = 0;          ///< Always 0: no scheduler steals work.
+  uint64_t parks = 0;           ///< Always 0: no scheduler parks workers.
+  uint64_t slices = 0;          ///< Delta slices executed (full-plan
+                                ///< tasks excluded).
   uint64_t batched_plans = 0;   ///< Tiny delta plans that shared a stage
                                 ///< task with at least one other plan.
   // Optimizer pipeline counters (src/opt/pass_manager.h), filled once at
   // plan-compile time. Pure functions of the program, the EDB contents,
-  // and the pass selection — invariant across the {threads × shards ×
-  // scheduler} sweep at a fixed pass selection.
+  // and the pass selection — invariant across the {threads × shards}
+  // sweep at a fixed pass selection.
   uint64_t opt_rules_eliminated = 0;  ///< Rules dropped by dead-rule
                                       ///< elimination.
   uint64_t opt_plans_reordered = 0;   ///< Plans whose join order the
@@ -71,8 +62,8 @@ struct EvalStats {
   // Incremental-maintenance counters (src/eval/incremental.h), filled by
   // Engine::ApplyUpdate. The tuple-level counters (edb/idb inserts and
   // deletes, candidates, rederived, recounted) are pure functions of the
-  // update stream and invariant across the {threads × shards × scheduler}
-  // sweep; the phase counters count maintenance passes run.
+  // update stream and invariant across the {threads × shards} sweep; the
+  // phase counters count maintenance passes run.
   uint64_t incremental_updates = 0;      ///< ApplyUpdate calls maintained
                                          ///< incrementally.
   uint64_t incremental_oracle_runs = 0;  ///< ApplyUpdate calls that fell
@@ -115,7 +106,7 @@ struct EvalStats {
                                                   ///< drop from
                                                   ///< preprocessing.
   // Serving-layer counters (src/serve/), filled by ServingSession. Like
-  // the scheduler counters, they describe how the session was driven
+  // the executor block, they describe how the session was driven
   // (thread count, cache on/off, batching window) — the query answers
   // themselves are bit-identical across every configuration.
   uint64_t serve_epochs_published = 0;  ///< Snapshots sealed and swapped in.
@@ -156,11 +147,8 @@ struct EvalStats {
     stages += other.stages;
     parallel_tasks += other.parallel_tasks;
     steals += other.steals;
-    splits += other.splits;
     parks += other.parks;
     slices += other.slices;
-    auto_static_stages += other.auto_static_stages;
-    auto_stealing_stages += other.auto_stealing_stages;
     batched_plans += other.batched_plans;
     opt_rules_eliminated += other.opt_rules_eliminated;
     opt_plans_reordered += other.opt_plans_reordered;
@@ -233,43 +221,6 @@ void ExecutePlanCounted(const EvalContext& ctx, const RulePlan& plan,
                         const IdbState& state, const DeltaRanges* deltas,
                         TupleCountMap* out, EvalStats* stats,
                         const std::vector<Relation>* shared = nullptr);
-
-/// Sampled per-row work estimate of one delta plan, used by the auto
-/// stage scheduler (StageScheduler::kAuto) to predict how unevenly the
-/// static partition's tasks would be loaded.
-struct DeltaWorkEstimate {
-  /// Total delta rows the plan scans (shards linearized in shard order,
-  /// the delta-scan walk order — the same linearization the schedulers
-  /// slice).
-  size_t rows = 0;
-  /// Sampling stride: sample i describes delta row i * stride and stands
-  /// for the stride rows starting there.
-  size_t stride = 1;
-  /// Estimated join work of each sampled row: 1 + the shortest
-  /// posting-list length the first index probe after the delta scan
-  /// would iterate for that row's key values. Empty when the plan gives
-  /// the estimator no per-row signal (no index probe keyed by delta-bound
-  /// variables, or indexes disabled); rows are then assumed uniform.
-  std::vector<uint64_t> sample_cost;
-  /// Per-row cost assumed when `sample_cost` is empty: 1 plus the full
-  /// cardinality of the first non-delta match's relation when that match
-  /// is a scan (no usable key columns), else 1. Keeps scan-heavy plans
-  /// costed consistently with probed ones for the auto scheduler and the
-  /// optimizer instead of defaulting every uniform plan to weight 1.
-  uint64_t uniform_cost = 1;
-};
-
-/// Estimates `plan`'s per-row join work over the delta rows in
-/// `delta_ranges` (the plan's delta predicate), probing at most
-/// `max_samples` rows. Reads posting-list *lengths* only — cheap relative
-/// to executing the plan — and touches no EvalStats, so running it never
-/// perturbs the determinism-checked counters. Caller must have finalized
-/// the probed indexes (Relation::EnsureIndexed) when running concurrently.
-DeltaWorkEstimate EstimateDeltaWork(const EvalContext& ctx,
-                                    const RulePlan& plan,
-                                    const IdbState& state,
-                                    const std::vector<ShardRange>& delta_ranges,
-                                    size_t max_samples);
 
 }  // namespace inflog
 

@@ -1,8 +1,6 @@
 #include "src/eval/fixpoint_driver.h"
 
 #include <algorithm>
-#include <cmath>
-#include <numeric>
 
 #include "src/base/logging.h"
 #include "src/opt/pass_manager.h"
@@ -73,26 +71,6 @@ std::vector<std::vector<ShardRange>> SliceDeltaRanges(
   return out;
 }
 
-/// Projects the linearized row window [begin, end) — shards concatenated
-/// in shard order, the delta-scan walk order — back onto per-shard
-/// ranges. Pure function of (base, begin, end): however the stealing
-/// scheduler happened to cut a delta chunk, the rows it covers are
-/// determined by its window alone.
-std::vector<ShardRange> ProjectDeltaWindow(
-    const std::vector<ShardRange>& base, size_t begin, size_t end) {
-  std::vector<ShardRange> out(base.size(), {0, 0});
-  size_t offset = 0;
-  for (size_t s = 0; s < base.size(); ++s) {
-    const auto [b, e] = base[s];
-    const size_t n = e - b;
-    const size_t lo = std::min(n, begin > offset ? begin - offset : 0);
-    const size_t hi = std::min(n, end > offset ? end - offset : 0);
-    if (hi > lo) out[s] = {b + lo, b + hi};
-    offset += n;
-  }
-  return out;
-}
-
 }  // namespace
 
 RelationalConsequence::RelationalConsequence(const EvalContext& ctx,
@@ -102,9 +80,7 @@ RelationalConsequence::RelationalConsequence(const EvalContext& ctx,
       state_(state),
       use_deltas_(options.use_deltas),
       num_threads_(ctx.num_threads()),
-      scheduler_(ctx.scheduler()),
       min_slice_rows_(ctx.min_slice_rows()),
-      steal_variance_(ctx.steal_variance()),
       pool_slot_(options.pool_cache != nullptr ? options.pool_cache
                                                : &own_pool_) {
   const Program& program = ctx.program();
@@ -171,8 +147,8 @@ void RelationalConsequence::ComputeSharedIntermediates(bool full_pass) {
   // Each subplan writes only its own shared_rels_ slot, so with several
   // pending the rebuilds fan out one task apiece. The estimate mirrors
   // RunStageParallel's: input rows the plans will touch, a deterministic
-  // proxy independent of threads/shards/scheduler, so the serial-vs-
-  // parallel choice is a pure function of the stage.
+  // proxy independent of threads and shards, so the serial-vs-parallel
+  // choice is a pure function of the stage.
   size_t work = 0;
   if (num_threads_ > 1 && pending.size() >= 2) {
     for (size_t k : pending) {
@@ -206,16 +182,7 @@ void RelationalConsequence::ComputeSharedIntermediates(bool full_pass) {
   // indexes the subplans probe before the fan-out, as RunStageParallel
   // does for the rule plans.
   if (ctx_.use_join_indexes()) {
-    for (size_t k : pending) {
-      for (const PlanOp& op : plans_.shared[k].plan.ops) {
-        if (op.kind != PlanOp::Kind::kMatch || op.is_delta_scan ||
-            op.key_cols.empty()) {
-          continue;
-        }
-        const Relation& rel = ctx_.Resolve(op.predicate, *state_);
-        for (size_t col : op.key_cols) rel.EnsureIndexed(col);
-      }
-    }
+    for (size_t k : pending) FinalizePlanIndexes(plans_.shared[k].plan);
   }
   std::vector<EvalStats> task_stats(pending.size());
   (*pool_slot_)->ParallelFor(pending.size(), [&](size_t i) {
@@ -246,22 +213,23 @@ void RelationalConsequence::RunStageSerial(bool full_pass,
   }
 }
 
-void RelationalConsequence::FinalizeStageIndexes(bool full_pass) const {
-  auto touch = [&](const RulePlan& plan) {
-    for (const PlanOp& op : plan.ops) {
-      if (op.kind != PlanOp::Kind::kMatch || op.is_delta_scan ||
-          op.key_cols.empty()) {
-        continue;
-      }
-      const Relation& rel = ctx_.Resolve(op.predicate, *state_);
-      for (size_t col : op.key_cols) rel.EnsureIndexed(col);
+void RelationalConsequence::FinalizePlanIndexes(const RulePlan& plan) const {
+  for (const PlanOp& op : plan.ops) {
+    if (op.kind != PlanOp::Kind::kMatch || op.is_delta_scan ||
+        op.key_cols.empty()) {
+      continue;
     }
-  };
+    const Relation& rel = ctx_.Resolve(op.predicate, *state_);
+    for (size_t col : op.key_cols) rel.EnsureIndexed(col);
+  }
+}
+
+void RelationalConsequence::FinalizeStageIndexes(bool full_pass) const {
   for (const CompiledRulePlans& c : plans_.rules) {
     if (full_pass) {
-      touch(c.full);
+      FinalizePlanIndexes(c.full);
     } else {
-      for (const CompiledDeltaPlan& d : c.deltas) touch(d.plan);
+      for (const CompiledDeltaPlan& d : c.deltas) FinalizePlanIndexes(d.plan);
     }
   }
 }
@@ -272,7 +240,7 @@ void RelationalConsequence::RunStageParallel(bool full_pass,
   // wakeups): below one slice's worth of input rows, take the serial path
   // — it computes the identical result, so the cutoff is invisible to
   // callers. The work proxy is deterministic and independent of the
-  // thread count, shard count, and scheduler.
+  // thread count and shard count.
   size_t work = 0;
   if (full_pass) {
     for (const CompiledRulePlans& c : plans_.rules) {
@@ -310,28 +278,7 @@ void RelationalConsequence::RunStageParallel(bool full_pass,
   std::vector<DeltaUnit> units;
   if (!full_pass) units = PartitionDeltaUnits();
 
-  StageScheduler scheduler = scheduler_;
-  if (scheduler == StageScheduler::kAuto) {
-    // Full passes run one atomic task per rule — there is no slice for
-    // stealing to re-cut — so only delta stages consult the imbalance
-    // estimate. Either way both machineries fold by the same
-    // deterministic key, so the choice is invisible outside the
-    // bookkeeping counters.
-    scheduler =
-        (!full_pass && EstimateStaticImbalance(units) > steal_variance_)
-            ? StageScheduler::kStealing
-            : StageScheduler::kStatic;
-    if (scheduler == StageScheduler::kStealing) {
-      ++stats_.auto_stealing_stages;
-    } else {
-      ++stats_.auto_static_stages;
-    }
-  }
-  if (scheduler == StageScheduler::kStealing) {
-    RunStageStealing(full_pass, units, buffers, pool);
-  } else {
-    RunStageStatic(full_pass, units, buffers, pool);
-  }
+  RunStageStatic(full_pass, units, buffers, pool);
 }
 
 std::vector<RelationalConsequence::DeltaUnit>
@@ -371,7 +318,7 @@ RelationalConsequence::PartitionDeltaUnits() {
       // rule-heavy programs don't pay one staging relation per nearly
       // empty plan. Batches stay contiguous in plan order — the ordered
       // fold depends on it.
-      pending.batch.push_back(BatchEntry{&d.plan, c.head_idb, rows});
+      pending.batch.push_back(BatchEntry{&d.plan, c.head_idb});
       bool seen = false;
       for (int h : pending.heads) seen = seen || h == c.head_idb;
       if (!seen) pending.heads.push_back(c.head_idb);
@@ -384,77 +331,11 @@ RelationalConsequence::PartitionDeltaUnits() {
   return units;
 }
 
-double RelationalConsequence::EstimateStaticImbalance(
-    const std::vector<DeltaUnit>& units) const {
-  // Number of delta rows EstimateDeltaWork may probe per plan. The whole
-  // estimate costs at most one posting-length lookup per sampled row —
-  // a fraction of the join that follows — and a stride this dense still
-  // catches hub windows much smaller than a slice.
-  constexpr size_t kMaxWorkSamples = 2048;
-
-  // Stealing can only re-cut sliceable units; a stage made purely of
-  // atomic batches runs the same tasks under either machinery, so
-  // report it balanced and skip the estimation entirely.
-  bool sliceable = false;
-  for (const DeltaUnit& u : units) sliceable = sliceable || u.batch.empty();
-  if (!sliceable) return 0.0;
-
-  // Pool the estimated work of every task the static partition would
-  // create: one value per batch, one per up-front slice of each big
-  // plan. The per-row signal is the posting-list length of the plan's
-  // first index probe; plans giving no such signal fall back to row
-  // counts — exactly the proxy the static slicer itself balances, so
-  // they report a perfectly balanced contribution. Zero-work batches
-  // (runs of never-fires / empty-delta plans) are skipped: they are
-  // near-free tasks under either scheduler, and counting them would
-  // only drag the mean down and inflate the CV.
-  std::vector<double> work;
-  for (const DeltaUnit& u : units) {
-    if (!u.batch.empty()) {
-      double rows = 0;
-      for (const BatchEntry& e : u.batch) rows += static_cast<double>(e.rows);
-      if (rows > 0) work.push_back(rows);
-      continue;
-    }
-    const size_t desired = std::max<size_t>(
-        1, std::min(num_threads_ * 4, u.rows / min_slice_rows_));
-    const DeltaWorkEstimate est = EstimateDeltaWork(
-        ctx_, *u.plan, *state_, delta_ranges_[u.delta_idb], kMaxWorkSamples);
-    std::vector<double> slice(desired, 0.0);
-    if (est.sample_cost.empty()) {
-      // Uniform plans weigh each row by the estimate's scan-aware
-      // per-row cost (the first joined relation's cardinality when the
-      // plan probes nothing), so scan-heavy plans aren't under-counted
-      // against probed ones.
-      for (size_t w = 0; w < desired; ++w) {
-        slice[w] = static_cast<double>(u.rows * (w + 1) / desired -
-                                       u.rows * w / desired) *
-                   static_cast<double>(est.uniform_cost);
-      }
-    } else {
-      for (size_t i = 0; i < est.sample_cost.size(); ++i) {
-        const size_t row = i * est.stride;
-        slice[row * desired / u.rows] +=
-            static_cast<double>(est.sample_cost[i] * est.stride);
-      }
-    }
-    for (double v : slice) work.push_back(v);
-  }
-  if (work.size() < 2) return 0.0;
-  double sum = 0;
-  for (double v : work) sum += v;
-  const double mean = sum / static_cast<double>(work.size());
-  if (mean <= 0) return 0.0;
-  double var = 0;
-  for (double v : work) var += (v - mean) * (v - mean);
-  return std::sqrt(var / static_cast<double>(work.size())) / mean;
-}
-
 void RelationalConsequence::RunStageStatic(
     bool full_pass, const std::vector<DeltaUnit>& units,
     std::vector<Relation>* buffers, ThreadPool& pool) {
   // Partition the stage: full passes split per rule plan; delta passes
-  // take the shared units — one task per batch, and per (big plan ×
+  // take the delta units — one task per batch, and per (big plan ×
   // delta slice) with the slices cut from the per-shard delta ranges so
   // the fan-out partitions along shard boundaries. Task order — units in
   // program order, then ascending slices — is exactly the serial
@@ -558,170 +439,6 @@ void RelationalConsequence::RunStageStatic(
   FoldStagedOutputs(ordered, buffers, pool);
 }
 
-void RelationalConsequence::RunStageStealing(
-    bool full_pass, const std::vector<DeltaUnit>& units,
-    std::vector<Relation>* buffers, ThreadPool& pool) {
-  // One item per unit, in serial execution order. Big delta plans carry
-  // their predicate's whole delta range (ParallelForDynamic splits it on
-  // demand); batches and full plans are atomic (0 rows — exactly one
-  // body call).
-  struct StealItem {
-    const RulePlan* plan = nullptr;
-    int head_idb = -1;
-    int delta_idb = -1;                ///< < 0: atomic.
-    const DeltaUnit* batch = nullptr;  ///< Batch item (overrides plan).
-  };
-  std::vector<StealItem> items;
-  std::vector<size_t> item_rows;
-  if (full_pass) {
-    for (const CompiledRulePlans& c : plans_.rules) {
-      items.push_back(StealItem{&c.full, c.head_idb, -1, nullptr});
-      item_rows.push_back(0);
-    }
-  } else {
-    for (const DeltaUnit& u : units) {
-      if (!u.batch.empty()) {
-        items.push_back(StealItem{nullptr, -1, -1, &u});
-        item_rows.push_back(0);
-      } else {
-        items.push_back(StealItem{u.plan, u.head_idb, u.delta_idb, nullptr});
-        item_rows.push_back(u.rows);
-      }
-    }
-  }
-
-  // Per-item work estimates steer the initial deal (LPT instead of
-  // round-robin), so the stealing machinery starts balanced and steals
-  // only to correct estimation error. Batches weigh their summed delta
-  // rows; big plans reuse EstimateDeltaWork's posting-length signal
-  // (the same proxy the auto scheduler's imbalance estimate pools), so
-  // a hub-heavy plan outweighs an equal-row uniform one. Full passes
-  // have no delta signal and keep the round-robin deal.
-  std::vector<uint64_t> item_weights;
-  if (!full_pass && items.size() > 1) {
-    constexpr size_t kMaxWorkSamples = 2048;
-    item_weights.reserve(items.size());
-    for (const DeltaUnit& u : units) {
-      if (!u.batch.empty()) {
-        uint64_t rows = 0;
-        for (const BatchEntry& e : u.batch) rows += e.rows;
-        item_weights.push_back(std::max<uint64_t>(rows, 1));
-        continue;
-      }
-      const DeltaWorkEstimate est = EstimateDeltaWork(
-          ctx_, *u.plan, *state_, delta_ranges_[u.delta_idb],
-          kMaxWorkSamples);
-      uint64_t cost = 0;
-      if (est.sample_cost.empty()) {
-        cost = static_cast<uint64_t>(u.rows) * est.uniform_cost;
-      } else {
-        for (const uint64_t c : est.sample_cost) cost += c * est.stride;
-      }
-      item_weights.push_back(std::max<uint64_t>(cost, 1));
-    }
-  }
-
-  // Each executed chunk stages into its own sharded relation(s) — one
-  // per head for batch items. The set of chunks depends on steal timing,
-  // but a chunk's (item, begin) key fully determines the delta rows it
-  // covered, so sorting the records by that key reconstructs the serial
-  // execution order whatever the partition was. Records are
-  // per-participant, so workers never share a vector.
-  struct ChunkRecord {
-    size_t item;
-    size_t begin;
-    size_t rows;
-    std::vector<Relation> outs;    // parallel to the item's heads
-    std::vector<EvalStats> stats;
-  };
-  std::vector<std::vector<ChunkRecord>> records(pool.num_workers() + 1);
-  // Chunks are cut dynamically, so their restricted DeltaRanges cannot
-  // be precomputed serially as on the static path. Instead each worker
-  // keeps one scratch copy of the full ranges (made on its first chunk)
-  // and per chunk overwrites — then restores — only the sliced
-  // predicate's entry, so the hot fan-out path never deep-copies the
-  // whole DeltaRanges per chunk.
-  std::vector<DeltaRanges> scratch(pool.num_workers() + 1);
-
-  const ThreadPool::DynamicLoopStats dyn = pool.ParallelForDynamic(
-      item_rows, item_weights, min_slice_rows_,
-      [&](size_t i, size_t begin, size_t end, size_t worker) {
-        const StealItem& item = items[i];
-        ChunkRecord rec{i, begin, end - begin, {}, {}};
-        if (item.batch != nullptr) {
-          const DeltaUnit& u = *item.batch;
-          rec.outs.reserve(u.heads.size());
-          for (int head : u.heads) {
-            rec.outs.emplace_back((*buffers)[head].arity(), num_shards_);
-          }
-          rec.stats.resize(u.heads.size());
-          for (const BatchEntry& e : u.batch) {
-            size_t slot = 0;
-            while (u.heads[slot] != e.head_idb) ++slot;
-            ExecutePlan(ctx_, *e.plan, *state_, &delta_ranges_,
-                        &rec.outs[slot], &rec.stats[slot], &shared_rels_);
-          }
-          records[worker].push_back(std::move(rec));
-          return;
-        }
-        rec.outs.emplace_back((*buffers)[item.head_idb].arity(),
-                              num_shards_);
-        rec.stats.resize(1);
-        const DeltaRanges* deltas = nullptr;
-        if (!full_pass) {
-          if (item.delta_idb >= 0) {
-            DeltaRanges& local = scratch[worker];
-            if (local.empty()) local = delta_ranges_;
-            local[item.delta_idb] = ProjectDeltaWindow(
-                delta_ranges_[item.delta_idb], begin, end);
-            deltas = &local;
-          } else {
-            deltas = &delta_ranges_;
-          }
-        }
-        ExecutePlan(ctx_, *item.plan, *state_, deltas, &rec.outs[0],
-                    &rec.stats[0], &shared_rels_);
-        if (!full_pass && item.delta_idb >= 0) {
-          // Restore the invariant scratch[worker] == delta_ranges_.
-          scratch[worker][item.delta_idb] = delta_ranges_[item.delta_idb];
-        }
-        records[worker].push_back(std::move(rec));
-      });
-
-  // Deterministic fold order: ascending (unit, first delta row). Stealing
-  // reordered which worker ran which rows, never which rows exist or how
-  // they fold.
-  std::vector<ChunkRecord*> chunks;
-  for (std::vector<ChunkRecord>& worker_records : records) {
-    for (ChunkRecord& rec : worker_records) chunks.push_back(&rec);
-  }
-  std::sort(chunks.begin(), chunks.end(),
-            [](const ChunkRecord* a, const ChunkRecord* b) {
-              return a->item != b->item ? a->item < b->item
-                                        : a->begin < b->begin;
-            });
-  std::vector<StagedOutput> ordered;
-  ordered.reserve(chunks.size());
-  for (ChunkRecord* rec : chunks) {
-    const StealItem& item = items[rec->item];
-    if (item.batch != nullptr) {
-      // Batched plans recorded their slices at partition time.
-      for (size_t slot = 0; slot < item.batch->heads.size(); ++slot) {
-        ordered.push_back(StagedOutput{item.batch->heads[slot],
-                                       &rec->outs[slot], &rec->stats[slot]});
-      }
-      continue;
-    }
-    if (item.delta_idb >= 0) rec->stats[0].RecordSlice(rec->rows);
-    ordered.push_back(StagedOutput{item.head_idb, &rec->outs[0],
-                                   &rec->stats[0]});
-  }
-  FoldStagedOutputs(ordered, buffers, pool);
-  stats_.steals += dyn.steals;
-  stats_.splits += dyn.splits;
-  stats_.parks += dyn.parks;
-}
-
 void RelationalConsequence::FoldStagedOutputs(
     const std::vector<StagedOutput>& ordered, std::vector<Relation>* buffers,
     ThreadPool& pool) {
@@ -803,8 +520,8 @@ size_t RelationalConsequence::Step(size_t stage) {
   const bool full_pass = (stage == 0 && !seeded_) || !use_deltas_;
   // Shared intermediates (subplan sharing) are rebuilt before the stage
   // fans out — one task per pending subplan when the work clears the
-  // serial cutoff — so every consumer, on any thread and under any
-  // scheduler, reads the same finalized relation.
+  // serial cutoff — so every consumer, on any thread, reads the same
+  // finalized relation.
   ComputeSharedIntermediates(full_pass);
   if (num_threads_ <= 1) {
     RunStageSerial(full_pass, &buffers);

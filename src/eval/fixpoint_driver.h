@@ -78,45 +78,27 @@ class FixpointDriver {
 /// pure join over the frozen previous state Sⁿ, so the stage's work is
 /// split into (rule plan × delta slice) tasks that run on a
 /// base::ThreadPool, each writing into its own sharded staging Relation.
-/// Before either scheduler runs, the stage's delta plans are partitioned
-/// into units: plans whose delta is at least min_slice_rows rows stand
-/// alone (and get sliced or stolen), while consecutive smaller plans are
-/// batched into one unit sharing a single task — rule-heavy programs no
-/// longer pay one staging relation per nearly empty plan
-/// (EvalStats::batched_plans counts them). Two schedulers then cut the
-/// work, with a third mode choosing between them per stage
-/// (EvalContextOptions::scheduler):
-///
-///   * kStatic slices each delta predicate's per-shard ranges up front
-///     (about four slices per thread, none below min_slice_rows) and
-///     claims them from a shared counter;
-///   * kStealing hands one chunk per delta plan to per-worker deques
-///     (ThreadPool::ParallelForDynamic); idle workers steal, and
-///     oversized chunks split in half while anyone is hungry, so a slice
-///     hiding most of the stage's join work cannot serialize the stage;
-///   * kAuto (the default) estimates each static task's work up front —
-///     delta rows weighted by the posting-list lengths the plan's first
-///     index probe would walk (EstimateDeltaWork, sampled) — and flips
-///     the stage to kStealing only when the estimates' coefficient of
-///     variation exceeds EvalContextOptions::steal_variance, so skewed
-///     stages get the stealing machinery and uniform ones skip its
-///     overhead (EvalStats::auto_{static,stealing}_stages record the
-///     decisions).
+/// The stage's delta plans are first partitioned into units: plans whose
+/// delta is at least min_slice_rows rows stand alone and are sliced,
+/// while consecutive smaller plans are batched into one unit sharing a
+/// single task — rule-heavy programs no longer pay one staging relation
+/// per nearly empty plan (EvalStats::batched_plans counts them). Each
+/// big unit's per-shard delta ranges are then cut into about four slices
+/// per thread (none below min_slice_rows), and ThreadPool::ParallelFor
+/// hands the tasks out from a shared claim counter, so a participant
+/// that finishes a cheap slice early simply claims the next one.
 ///
 /// Both merges — task stagings into the stage buffers, stage buffers into
 /// the state — are shard-wise ParallelFors: each worker owns one shard
-/// across all relations and folds the task outputs in serial task order
-/// (for the stealing scheduler, chunk outputs sorted by their
-/// deterministic (plan, first delta row) key — stealing reorders
-/// *execution*, never the fold), so no two workers ever write the same
-/// shard and no serial merge runs on the hot path. The fold order being
-/// the serial execution order, relations (per-shard row ids included),
-/// stage_sizes(), and stats (apart from the partition bookkeeping:
-/// parallel_tasks, steals, splits, slices, slice_hist) are bit-identical
-/// to the num_threads == 1 run at every shard count under either
-/// scheduler. Before fan-out, the stage finalizes every column index its
-/// plans will probe (Relation::EnsureIndexed), making all reads during
-/// the stage lock-free.
+/// across all relations and folds the task outputs in serial task order,
+/// so no two workers ever write the same shard and no serial merge runs
+/// on the hot path. The fold order being the serial execution order,
+/// relations (per-shard row ids included), stage_sizes(), and stats
+/// (apart from the partition bookkeeping: parallel_tasks, slices,
+/// slice_hist, batched_plans) are bit-identical to the num_threads == 1
+/// run at every shard count. Before fan-out, the stage finalizes every
+/// column index its plans will probe (Relation::EnsureIndexed), making
+/// all reads during the stage lock-free.
 class RelationalConsequence {
  public:
   struct Options {
@@ -176,15 +158,13 @@ class RelationalConsequence {
   struct BatchEntry {
     const RulePlan* plan;
     int head_idb;
-    size_t rows;  ///< The plan's delta rows (0 for plans with no delta).
   };
 
-  /// One schedulable unit of a delta stage, shared by both parallel
-  /// schedulers: either a single plan whose delta is big enough to slice
-  /// or steal (batch empty), or a contiguous run of tiny plans executed
-  /// back to back inside one task. Units appear in serial execution
-  /// order (rules in program order, then plan order), which the ordered
-  /// fold relies on.
+  /// One schedulable unit of a delta stage: either a single plan whose
+  /// delta is big enough to slice (batch empty), or a contiguous run of
+  /// tiny plans executed back to back inside one task. Units appear in
+  /// serial execution order (rules in program order, then plan order),
+  /// which the ordered fold relies on.
   struct DeltaUnit {
     const RulePlan* plan = nullptr;  ///< Single-plan unit iff batch empty.
     int head_idb = -1;
@@ -204,10 +184,8 @@ class RelationalConsequence {
   void RunStageSerial(bool full_pass, std::vector<Relation>* buffers);
 
   /// Estimates the stage's work, takes the serial path under the
-  /// min_slice_rows cutoff, and otherwise partitions the delta plans
-  /// into units, resolves kAuto from the estimated static-task imbalance,
-  /// and dispatches to RunStageStatic / RunStageStealing after finalizing
-  /// the stage's indexes.
+  /// min_slice_rows cutoff, and otherwise finalizes the stage's indexes,
+  /// partitions the delta plans into units, and fans the stage out.
   void RunStageParallel(bool full_pass, std::vector<Relation>* buffers);
 
   /// Cuts the stage's delta plans into DeltaUnits: plans with at least
@@ -217,28 +195,12 @@ class RelationalConsequence {
   /// the batched plans) into stats_.
   std::vector<DeltaUnit> PartitionDeltaUnits();
 
-  /// The kAuto signal: coefficient of variation of the estimated work of
-  /// the tasks the static partition would create (batches whole; big
-  /// plans cut into their up-front slices, each weighted by the sampled
-  /// posting-list lengths of the plan's first index probe). Deterministic
-  /// in (units, state, thread count); reads no EvalStats.
-  double EstimateStaticImbalance(const std::vector<DeltaUnit>& units) const;
-
-  /// The kStatic partition: cuts the big units' delta ranges into slices
+  /// The parallel stage: cuts the big units' delta ranges into slices
   /// up front, runs the (unit × slice) tasks with ThreadPool::ParallelFor,
   /// and folds the per-task stagings into `buffers` shard-wise in task
   /// order. `units` is ignored on full passes (one task per rule plan).
   void RunStageStatic(bool full_pass, const std::vector<DeltaUnit>& units,
                       std::vector<Relation>* buffers, ThreadPool& pool);
-
-  /// The kStealing partition: one splittable chunk per big unit (batches
-  /// and full plans are atomic) on ThreadPool::ParallelForDynamic; each
-  /// executed chunk stages into its own relation(s), and the chunk
-  /// outputs are folded shard-wise sorted by (unit, first delta row) —
-  /// the serial execution order — so results are bit-identical to the
-  /// serial and static paths.
-  void RunStageStealing(bool full_pass, const std::vector<DeltaUnit>& units,
-                        std::vector<Relation>* buffers, ThreadPool& pool);
 
   /// One staging relation awaiting its ordered fold into the stage
   /// buffers, with the stats block whose new_tuples the fold rewrites.
@@ -248,13 +210,12 @@ class RelationalConsequence {
     EvalStats* stats;
   };
 
-  /// The determinism-critical fold shared by both schedulers: merges
-  /// `ordered` into `buffers` shard-wise (each worker owns one shard,
-  /// folding in the given order — which callers must make the serial
-  /// execution order), rewrites each stats block's new_tuples from the
-  /// merge counts (a tuple derived by two stagings is new in both but
-  /// was counted once serially), and accumulates everything — including
-  /// the fan-out count — into stats_.
+  /// The determinism-critical fold: merges `ordered` into `buffers`
+  /// shard-wise (each worker owns one shard, folding in the given order —
+  /// which callers must make the serial execution order), rewrites each
+  /// stats block's new_tuples from the merge counts (a tuple derived by
+  /// two stagings is new in both but was counted once serially), and
+  /// accumulates everything — including the fan-out count — into stats_.
   void FoldStagedOutputs(const std::vector<StagedOutput>& ordered,
                          std::vector<Relation>* buffers, ThreadPool& pool);
 
@@ -268,6 +229,10 @@ class RelationalConsequence {
   /// so all relation reads during the parallel stage are lock-free.
   void FinalizeStageIndexes(bool full_pass) const;
 
+  /// Brings every column index `plan`'s non-delta matches probe up to
+  /// date (Relation::EnsureIndexed).
+  void FinalizePlanIndexes(const RulePlan& plan) const;
+
   /// Recomputes the stage's shared intermediates (subplan sharing): runs
   /// every SharedSubplan of the pass kind into a fresh shared_rels_ slot
   /// before the stage fans out. Subplans write disjoint outputs, so when
@@ -277,7 +242,7 @@ class RelationalConsequence {
   /// index order. Each slot's contents are produced by exactly one task
   /// executing the same plan over the same frozen state as the serial
   /// path, so the intermediates — and every consumer read — stay
-  /// bit-identical across thread counts and schedulers.
+  /// bit-identical across thread counts.
   void ComputeSharedIntermediates(bool full_pass);
 
   const EvalContext& ctx_;
@@ -297,11 +262,8 @@ class RelationalConsequence {
   EvalStats stats_;
   size_t num_threads_ = 1;
   size_t num_shards_ = 1;
-  StageScheduler scheduler_ = StageScheduler::kAuto;
   /// The serial-cutoff / slicing granularity (EvalContext::min_slice_rows).
   size_t min_slice_rows_ = EvalContextOptions::kDefaultMinSliceRows;
-  /// kAuto's flip threshold (EvalContext::steal_variance).
-  double steal_variance_ = EvalContextOptions::kDefaultStealVariance;
   /// Points at Options::pool_cache when provided, else at own_pool_. The
   /// slot is filled lazily by the first stage that actually fans out; it
   /// stays null when num_threads_ == 1 or every stage is under the serial

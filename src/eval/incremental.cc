@@ -27,7 +27,7 @@ Tuple ToTuple(TupleView view) { return Tuple(view.begin(), view.end()); }
 /// Iterates the live rows of `rel` in shard / physical-row order — the
 /// deterministic walk every maintenance membership decision uses (never
 /// an unordered map), so ApplyUpdate commits tuples in the same order on
-/// every thread/shard/scheduler configuration.
+/// every thread/shard configuration.
 template <typename Fn>
 void ForEachRow(const Relation& rel, Fn&& fn) {
   for (size_t s = 0; s < rel.num_shards(); ++s) {

@@ -127,7 +127,7 @@ struct IncrementalOptions {
   /// Cross-check every maintained update against a from-scratch
   /// evaluation; mismatches fail ApplyUpdate with an Internal error.
   bool verify = false;
-  /// Threads / shards / scheduler / slicing for every evaluation and
+  /// Threads / shards / slicing for every evaluation and
   /// maintenance phase of the session.
   EvalContextOptions context;
   /// Grounded-pipeline options, consulted for those semantics only.

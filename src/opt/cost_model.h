@@ -15,8 +15,8 @@
 //   * dynamic IDB predicates (empty at compile time) fall back to a
 //     universe-sized prior discounted per bound column.
 //
-// This keeps compiled plans identical across the {threads × shards ×
-// scheduler} sweep: same contents, same estimates, same plans.
+// This keeps compiled plans identical across the {threads × shards}
+// sweep: same contents, same estimates, same plans.
 
 #ifndef INFLOG_OPT_COST_MODEL_H_
 #define INFLOG_OPT_COST_MODEL_H_

@@ -14,9 +14,9 @@
 //
 // Determinism: a pass may read only shard-invariant statistics (relation
 // sizes, shard-summed posting totals, content-ordered samples — see
-// cost_model.h) and must not consult the thread count, shard count,
-// scheduler, or use_join_indexes, so one (program, database, pass
-// selection) always compiles to one plan set.
+// cost_model.h) and must not consult the thread count, shard count, or
+// use_join_indexes, so one (program, database, pass selection) always
+// compiles to one plan set.
 
 #ifndef INFLOG_OPT_PASS_MANAGER_H_
 #define INFLOG_OPT_PASS_MANAGER_H_

@@ -4,7 +4,7 @@
 //
 // A StagePlans value is a pure function of (program, rule subset,
 // use_deltas, pass selection, compile-time relation contents); none of
-// its fields depends on the thread count, shard count, or scheduler —
+// its fields depends on the thread count or shard count —
 // which is what lets the optimized plans keep the engine's bit-identical
 // determinism guarantee across the parallel sweep.
 

@@ -4,11 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <numeric>
 #include <stdexcept>
-#include <thread>
-#include <utility>
 #include <vector>
 
 #include "src/base/result.h"
@@ -256,149 +252,6 @@ TEST(ThreadPoolTest, ParallelForInlineExceptionPropagates) {
   EXPECT_THROW(
       pool.ParallelFor(3, [](size_t) { throw std::runtime_error("x"); }),
       std::runtime_error);
-}
-
-/// Coverage harness for ParallelForDynamic: records every (item, row)
-/// processed and fails on gaps or overlaps.
-class DynamicCoverage {
- public:
-  explicit DynamicCoverage(const std::vector<size_t>& rows) {
-    for (size_t r : rows) hits_.emplace_back(std::max<size_t>(r, 1));
-    for (auto& h : hits_) {
-      for (auto& c : h) c.store(0);
-    }
-  }
-
-  void Cover(size_t item, size_t begin, size_t end) {
-    atomic_calls_.fetch_add(begin == 0 && end == 0 ? 1 : 0);
-    for (size_t r = begin; r < end; ++r) hits_[item][r].fetch_add(1);
-  }
-
-  void ExpectExact(const std::vector<size_t>& rows) {
-    for (size_t i = 0; i < rows.size(); ++i) {
-      for (size_t r = 0; r < rows[i]; ++r) {
-        EXPECT_EQ(hits_[i][r].load(), 1) << "item " << i << " row " << r;
-      }
-    }
-  }
-
-  size_t atomic_calls() const { return atomic_calls_.load(); }
-
- private:
-  std::vector<std::vector<std::atomic<int>>> hits_;
-  std::atomic<size_t> atomic_calls_{0};
-};
-
-TEST(ThreadPoolTest, ParallelForDynamicCoversEveryRowOnce) {
-  ThreadPool pool(3);
-  const std::vector<size_t> rows = {1000, 3, 0, 517, 64};
-  DynamicCoverage cov(rows);
-  pool.ParallelForDynamic(rows, /*min_grain=*/16,
-                          [&](size_t i, size_t b, size_t e, size_t w) {
-                            ASSERT_LE(w, pool.num_workers());
-                            cov.Cover(i, b, e);
-                          });
-  cov.ExpectExact(rows);
-  // The 0-row item is atomic: exactly one body(i, 0, 0) call.
-  EXPECT_EQ(cov.atomic_calls(), 1u);
-}
-
-TEST(ThreadPoolTest, ParallelForDynamicZeroWorkersRunsWholeItemsInOrder) {
-  ThreadPool pool(0);
-  std::vector<std::pair<size_t, size_t>> calls;
-  const std::vector<size_t> rows = {5, 0, 2};
-  auto stats = pool.ParallelForDynamic(
-      rows, 4, [&](size_t i, size_t b, size_t e, size_t w) {
-        EXPECT_EQ(w, 0u);
-        EXPECT_EQ(b, 0u);
-        calls.emplace_back(i, e);
-      });
-  EXPECT_EQ(calls, (std::vector<std::pair<size_t, size_t>>{
-                       {0, 5}, {1, 0}, {2, 2}}));
-  EXPECT_EQ(stats.steals, 0u);
-  EXPECT_EQ(stats.splits, 0u);
-}
-
-TEST(ThreadPoolTest, ParallelForDynamicSplitsSkewedItems) {
-  // One giant item among trivial ones: the loop must split it rather than
-  // serialize on whichever worker acquired it. With workers present the
-  // baseline grain alone (rows / (4 * participants)) forces splits.
-  ThreadPool pool(3);
-  const std::vector<size_t> rows = {100000, 1, 1, 1};
-  DynamicCoverage cov(rows);
-  std::atomic<size_t> chunk_calls{0};
-  auto stats = pool.ParallelForDynamic(
-      rows, 64, [&](size_t i, size_t b, size_t e, size_t w) {
-        (void)w;
-        chunk_calls.fetch_add(1);
-        cov.Cover(i, b, e);
-      });
-  cov.ExpectExact(rows);
-  EXPECT_GT(chunk_calls.load(), 4u);
-  EXPECT_GT(stats.splits, 0u);
-}
-
-TEST(ThreadPoolTest, ParallelForDynamicRethrowsBodyException) {
-  ThreadPool pool(3);
-  const std::vector<size_t> rows = {512, 512, 512};
-  EXPECT_THROW(
-      pool.ParallelForDynamic(rows, 16,
-                              [&](size_t i, size_t b, size_t, size_t) {
-                                if (i == 1 && b == 0) {
-                                  throw std::runtime_error("chunk boom");
-                                }
-                              }),
-      std::runtime_error);
-  // Barrier held: the pool is reusable.
-  std::atomic<size_t> total{0};
-  pool.ParallelForDynamic(rows, 16,
-                          [&](size_t, size_t b, size_t e, size_t) {
-                            total.fetch_add(e - b);
-                          });
-  EXPECT_EQ(total.load(), 1536u);
-}
-
-TEST(ThreadPoolTest, ParallelForDynamicEmptyIsNoop) {
-  ThreadPool pool(2);
-  size_t calls = 0;
-  auto stats = pool.ParallelForDynamic(
-      {}, 8, [&](size_t, size_t, size_t, size_t) { ++calls; });
-  EXPECT_EQ(calls, 0u);
-  EXPECT_EQ(stats.steals, 0u);
-  EXPECT_EQ(stats.parks, 0u);
-}
-
-TEST(ThreadPoolTest, ParallelForDynamicParksInsteadOfSpinning) {
-  // One splittable item with slow chunks: hungry participants find every
-  // deque empty between sheds, so they park on the loop's condition
-  // variable. The regression surface is the wakeup protocol — a missed
-  // wakeup would hang this loop (a parked worker sleeping through the
-  // shed or the final drain), and a lost chunk would fail the coverage
-  // check. How often parking actually happens is timing-dependent, so
-  // the counter itself is only read, not asserted.
-  ThreadPool pool(3);
-  const std::vector<size_t> rows = {4096};
-  DynamicCoverage cov(rows);
-  auto stats = pool.ParallelForDynamic(
-      rows, /*min_grain=*/64, [&](size_t i, size_t b, size_t e, size_t w) {
-        (void)w;
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-        cov.Cover(i, b, e);
-      });
-  cov.ExpectExact(rows);
-  EXPECT_GE(stats.parks, 0u);
-
-  // Parked workers must also wake on the drain event itself: a loop
-  // whose only chunk never splits ends with every other participant
-  // parked until the final completion publishes.
-  std::atomic<size_t> covered{0};
-  auto tail = pool.ParallelForDynamic(
-      {100}, /*min_grain=*/4096, [&](size_t, size_t b, size_t e, size_t) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        covered.fetch_add(e - b);
-      });
-  EXPECT_EQ(covered.load(), 100u);
-  EXPECT_EQ(tail.splits, 0u);
 }
 
 }  // namespace

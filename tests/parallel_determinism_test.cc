@@ -16,18 +16,10 @@
 //     fan-out bookkeeping (parallel_tasks) are bit-identical.
 //
 // These tests hold both invariants over {1,2,4,8} threads × {1,2,8}
-// shards × {static, stealing, auto} stage schedulers on all four
-// semantics, on the randomized programs of index_correctness_test.cc.
-// The stealing scheduler (ThreadPool::ParallelForDynamic) may execute a
-// stage's delta rows in any order and any partition, but folds the chunk
-// outputs by their deterministic (plan, first row) key, so the same
-// bit-identity must hold — including on adversarially skewed inputs
-// where every IDB tuple hashes into one shard (HotShardSkew below). The
-// auto scheduler picks one of the two machineries per stage from the
-// estimated slice-work variance; whichever it picks, the same fold key
-// applies, so its results must be bit-identical too (and the
-// AutoSchedulerTest cases below pin which machinery it picks on a
-// uniform and on a hub-skewed workload, via the decision counters).
+// shards on all four semantics, on the randomized programs of
+// index_correctness_test.cc — including on adversarially skewed inputs
+// where every IDB tuple hashes into one shard, or a few hub rows hide
+// most of a stage's join work (HotShardSkew* below).
 //
 // Data-race coverage: build with ThreadSanitizer and run this binary (and
 // the relation/executor tests) —
@@ -59,9 +51,6 @@ namespace {
 
 const size_t kThreadCounts[] = {1, 2, 4, 8};
 const size_t kShardCounts[] = {1, 2, 8};
-const StageScheduler kSchedulers[] = {StageScheduler::kStatic,
-                                      StageScheduler::kStealing,
-                                      StageScheduler::kAuto};
 
 /// A database of random facts over `num_symbols` constants for the EDB
 /// relations A/2, B/2, C/2, D/2 and S/1 (mirrors index_correctness_test).
@@ -140,11 +129,9 @@ void ExpectSameStats(const EvalStats& reference, const EvalStats& candidate,
   EXPECT_EQ(reference.enumerations, candidate.enumerations) << config;
 }
 
-std::string ConfigName(size_t threads, size_t shards,
-                       StageScheduler scheduler = StageScheduler::kStatic) {
+std::string ConfigName(size_t threads, size_t shards) {
   return "threads=" + std::to_string(threads) +
-         " shards=" + std::to_string(shards) + " scheduler=" +
-         std::string(StageSchedulerName(scheduler));
+         " shards=" + std::to_string(shards);
 }
 
 class ParallelDeterminism : public ::testing::TestWithParam<int> {};
@@ -171,40 +158,32 @@ TEST_P(ParallelDeterminism, InflationaryMatchesSerialBitForBit) {
     ExpectSameSets(serial->state, reference->state);
 
     for (size_t threads : kThreadCounts) {
-      for (StageScheduler scheduler : kSchedulers) {
-        const std::string config = ConfigName(threads, shards, scheduler);
-        InflationaryOptions par_opts;
-        par_opts.context.num_threads = threads;
-        par_opts.context.num_shards = shards;
-        par_opts.context.scheduler = scheduler;
-        auto parallel = EvalInflationary(program, db, par_opts);
-        ASSERT_TRUE(parallel.ok()) << config;
+      const std::string config = ConfigName(threads, shards);
+      InflationaryOptions par_opts;
+      par_opts.context.num_threads = threads;
+      par_opts.context.num_shards = shards;
+      auto parallel = EvalInflationary(program, db, par_opts);
+      ASSERT_TRUE(parallel.ok()) << config;
 
-        ExpectSameRows(reference->state, parallel->state);
-        ExpectSameSets(serial->state, parallel->state);
-        EXPECT_EQ(serial->num_stages, parallel->num_stages) << config;
-        EXPECT_EQ(serial->stage_sizes, parallel->stage_sizes) << config;
-        ExpectSameStats(serial->stats, parallel->stats, config);
-        if (threads > 1) {
-          EXPECT_GT(parallel->stats.parallel_tasks, 0u) << config;
-        } else {
-          EXPECT_EQ(parallel->stats.parallel_tasks, 0u) << config;
-          EXPECT_EQ(parallel->stats.slices, 0u) << config;
-        }
-        if (scheduler == StageScheduler::kStatic || threads == 1) {
-          // Stealing only: chunks can move between workers.
-          EXPECT_EQ(parallel->stats.steals, 0u) << config;
-          EXPECT_EQ(parallel->stats.splits, 0u) << config;
-        }
+      ExpectSameRows(reference->state, parallel->state);
+      ExpectSameSets(serial->state, parallel->state);
+      EXPECT_EQ(serial->num_stages, parallel->num_stages) << config;
+      EXPECT_EQ(serial->stage_sizes, parallel->stage_sizes) << config;
+      ExpectSameStats(serial->stats, parallel->stats, config);
+      if (threads > 1) {
+        EXPECT_GT(parallel->stats.parallel_tasks, 0u) << config;
+      } else {
+        EXPECT_EQ(parallel->stats.parallel_tasks, 0u) << config;
+        EXPECT_EQ(parallel->stats.slices, 0u) << config;
+      }
 
-        // The stage at which each tuple entered — the semantics
-        // Proposition 2 reads distances off — is configuration-invariant
-        // too.
-        for (size_t i = 0; i < serial->state.relations.size(); ++i) {
-          for (const Tuple& t : serial->state.relations[i].SortedTuples()) {
-            EXPECT_EQ(serial->TupleStage(i, t), parallel->TupleStage(i, t))
-                << config << " relation " << i;
-          }
+      // The stage at which each tuple entered — the semantics
+      // Proposition 2 reads distances off — is configuration-invariant
+      // too.
+      for (size_t i = 0; i < serial->state.relations.size(); ++i) {
+        for (const Tuple& t : serial->state.relations[i].SortedTuples()) {
+          EXPECT_EQ(serial->TupleStage(i, t), parallel->TupleStage(i, t))
+              << config << " relation " << i;
         }
       }
     }
@@ -225,21 +204,18 @@ TEST_P(ParallelDeterminism, NaiveDriverMatchesSerial) {
 
   for (size_t shards : kShardCounts) {
     for (size_t threads : kThreadCounts) {
-      for (StageScheduler scheduler : kSchedulers) {
-        const std::string config = ConfigName(threads, shards, scheduler);
-        InflationaryOptions par_opts;
-        par_opts.use_seminaive = false;
-        par_opts.context.num_threads = threads;
-        par_opts.context.num_shards = shards;
-        par_opts.context.scheduler = scheduler;
-        auto parallel = EvalInflationary(program, db, par_opts);
-        ASSERT_TRUE(parallel.ok()) << config;
-        ExpectSameSets(serial->state, parallel->state);
-        EXPECT_EQ(serial->num_stages, parallel->num_stages) << config;
-        EXPECT_EQ(serial->stage_sizes, parallel->stage_sizes) << config;
-        EXPECT_EQ(serial->stats.derivations, parallel->stats.derivations)
-            << config;
-      }
+      const std::string config = ConfigName(threads, shards);
+      InflationaryOptions par_opts;
+      par_opts.use_seminaive = false;
+      par_opts.context.num_threads = threads;
+      par_opts.context.num_shards = shards;
+      auto parallel = EvalInflationary(program, db, par_opts);
+      ASSERT_TRUE(parallel.ok()) << config;
+      ExpectSameSets(serial->state, parallel->state);
+      EXPECT_EQ(serial->num_stages, parallel->num_stages) << config;
+      EXPECT_EQ(serial->stage_sizes, parallel->stage_sizes) << config;
+      EXPECT_EQ(serial->stats.derivations, parallel->stats.derivations)
+          << config;
     }
   }
 }
@@ -265,19 +241,16 @@ TEST_P(ParallelDeterminism, TransitiveClosureManyStagesManySlices) {
 
   for (size_t shards : kShardCounts) {
     for (size_t threads : kThreadCounts) {
-      for (StageScheduler scheduler : kSchedulers) {
-        const std::string config = ConfigName(threads, shards, scheduler);
-        InflationaryOptions par_opts;
-        par_opts.context.num_threads = threads;
-        par_opts.context.num_shards = shards;
-        par_opts.context.scheduler = scheduler;
-        auto parallel = EvalInflationary(program, db, par_opts);
-        ASSERT_TRUE(parallel.ok()) << config;
-        ExpectSameSets(serial->state, parallel->state);
-        EXPECT_EQ(serial->num_stages, parallel->num_stages) << config;
-        EXPECT_EQ(serial->stage_sizes, parallel->stage_sizes) << config;
-        ExpectSameStats(serial->stats, parallel->stats, config);
-      }
+      const std::string config = ConfigName(threads, shards);
+      InflationaryOptions par_opts;
+      par_opts.context.num_threads = threads;
+      par_opts.context.num_shards = shards;
+      auto parallel = EvalInflationary(program, db, par_opts);
+      ASSERT_TRUE(parallel.ok()) << config;
+      ExpectSameSets(serial->state, parallel->state);
+      EXPECT_EQ(serial->num_stages, parallel->num_stages) << config;
+      EXPECT_EQ(serial->stage_sizes, parallel->stage_sizes) << config;
+      ExpectSameStats(serial->stats, parallel->stats, config);
     }
   }
 }
@@ -324,28 +297,24 @@ TEST_P(ParallelDeterminism, AllFourSemanticsThroughEngine) {
 
     for (size_t shards : kShardCounts) {
       for (size_t threads : kThreadCounts) {
-        for (StageScheduler scheduler : kSchedulers) {
-          const std::string config =
-              std::string(SemanticsKindName(kind)) + " " +
-              ConfigName(threads, shards, scheduler);
-          EvalOptions par_opts;
-          par_opts.num_threads = threads;
-          par_opts.num_shards = shards;
-          par_opts.scheduler = scheduler;
-          auto parallel = engine.Evaluate(kind, par_opts);
-          ASSERT_TRUE(parallel.ok()) << config;
-          ExpectSameSets(serial->state(), parallel->state());
-          if (serial->stats() != nullptr) {
-            ExpectSameStats(*serial->stats(), *parallel->stats(), config);
-          }
-          if (kind == SemanticsKind::kStable) {
-            const auto& sm = std::get<StableResult>(serial->detail);
-            const auto& pm = std::get<StableResult>(parallel->detail);
-            ASSERT_EQ(sm.models.size(), pm.models.size()) << config;
-            for (size_t m = 0; m < sm.models.size(); ++m) {
-              EXPECT_EQ(sm.models[m], pm.models[m])
-                  << config << " stable model " << m;
-            }
+        const std::string config = std::string(SemanticsKindName(kind)) +
+                                   " " + ConfigName(threads, shards);
+        EvalOptions par_opts;
+        par_opts.num_threads = threads;
+        par_opts.num_shards = shards;
+        auto parallel = engine.Evaluate(kind, par_opts);
+        ASSERT_TRUE(parallel.ok()) << config;
+        ExpectSameSets(serial->state(), parallel->state());
+        if (serial->stats() != nullptr) {
+          ExpectSameStats(*serial->stats(), *parallel->stats(), config);
+        }
+        if (kind == SemanticsKind::kStable) {
+          const auto& sm = std::get<StableResult>(serial->detail);
+          const auto& pm = std::get<StableResult>(parallel->detail);
+          ASSERT_EQ(sm.models.size(), pm.models.size()) << config;
+          for (size_t m = 0; m < sm.models.size(); ++m) {
+            EXPECT_EQ(sm.models[m], pm.models[m])
+                << config << " stable model " << m;
           }
         }
       }
@@ -450,9 +419,10 @@ std::vector<std::string> HotShardSymbols(size_t num_candidates,
 
 TEST_P(ParallelDeterminism, HotShardSkewStealingMatchesSerial) {
   // Adversarial skew: every R tuple hashes into shard 0, so at 8 shards
-  // the per-shard delta histogram is maximally skewed — the exact case
-  // the stealing scheduler exists for. All four semantics must still
-  // answer bit-identically to serial across the full sweep.
+  // the per-shard delta histogram is maximally skewed and the slicer must
+  // split the one hot shard by rows. All four semantics must still answer
+  // bit-identically to serial across the full sweep. (The name predates
+  // the single stage scheduler and is kept so the test id stays stable.)
   const size_t kCandidates = 160;
   const std::vector<std::string> hot = HotShardSymbols(kCandidates, 3);
   ASSERT_GE(hot.size(), 8u);  // ~1/8 of candidates expected
@@ -501,13 +471,11 @@ TEST_P(ParallelDeterminism, HotShardSkewStealingMatchesSerial) {
 
     for (size_t shards : kShardCounts) {
       for (size_t threads : kThreadCounts) {
-        const std::string config =
-            std::string(SemanticsKindName(kind)) + " skew " +
-            ConfigName(threads, shards, StageScheduler::kStealing);
+        const std::string config = std::string(SemanticsKindName(kind)) +
+                                   " skew " + ConfigName(threads, shards);
         EvalOptions par_opts;
         par_opts.num_threads = threads;
         par_opts.num_shards = shards;
-        par_opts.scheduler = StageScheduler::kStealing;
         // A tiny slice floor so even these small deltas genuinely fan
         // out and split (results are invariant to it).
         par_opts.min_slice_rows = 2;
@@ -524,8 +492,8 @@ TEST_P(ParallelDeterminism, HotShardSkewStealingMatchesSerial) {
 
 TEST(SerialPathTest, SerialRunsAllocateNoTaskScaffolding) {
   // num_threads == 1 dispatches straight to the serial stage body: no
-  // tasks, no slices, no pool — whatever the scheduler and cutoff say —
-  // and the stats are identical across every such configuration.
+  // tasks, no slices, no pool — whatever the cutoff says — and the stats
+  // are identical across every such configuration.
   Database db = RandomFactDb(4242, 12, 150);
   Program program = testing::MustProgram(kJoinProgram, db.shared_symbols());
 
@@ -534,26 +502,19 @@ TEST(SerialPathTest, SerialRunsAllocateNoTaskScaffolding) {
   auto reference = EvalInflationary(program, db, base);
   ASSERT_TRUE(reference.ok());
 
-  for (StageScheduler scheduler : kSchedulers) {
-    for (size_t min_slice : {size_t{1}, size_t{16}, size_t{1 << 20}}) {
-      const std::string config =
-          "serial scheduler=" +
-          std::string(StageSchedulerName(scheduler)) +
-          " min_slice_rows=" + std::to_string(min_slice);
-      InflationaryOptions opts;
-      opts.context.num_threads = 1;
-      opts.context.scheduler = scheduler;
-      opts.context.min_slice_rows = min_slice;
-      auto serial = EvalInflationary(program, db, opts);
-      ASSERT_TRUE(serial.ok()) << config;
-      EXPECT_EQ(serial->stats.parallel_tasks, 0u) << config;
-      EXPECT_EQ(serial->stats.slices, 0u) << config;
-      EXPECT_EQ(serial->stats.steals, 0u) << config;
-      EXPECT_EQ(serial->stats.splits, 0u) << config;
-      ExpectSameRows(reference->state, serial->state);
-      EXPECT_EQ(reference->stage_sizes, serial->stage_sizes) << config;
-      ExpectSameStats(reference->stats, serial->stats, config);
-    }
+  for (size_t min_slice : {size_t{1}, size_t{16}, size_t{1 << 20}}) {
+    const std::string config =
+        "serial min_slice_rows=" + std::to_string(min_slice);
+    InflationaryOptions opts;
+    opts.context.num_threads = 1;
+    opts.context.min_slice_rows = min_slice;
+    auto serial = EvalInflationary(program, db, opts);
+    ASSERT_TRUE(serial.ok()) << config;
+    EXPECT_EQ(serial->stats.parallel_tasks, 0u) << config;
+    EXPECT_EQ(serial->stats.slices, 0u) << config;
+    ExpectSameRows(reference->state, serial->state);
+    EXPECT_EQ(reference->stage_sizes, serial->stage_sizes) << config;
+    ExpectSameStats(reference->stats, serial->stats, config);
   }
 }
 
@@ -568,65 +529,23 @@ TEST(SerialPathTest, CutoffFallbackMatchesSerialExactly) {
   auto reference = EvalInflationary(program, db, base);
   ASSERT_TRUE(reference.ok());
 
-  for (StageScheduler scheduler : kSchedulers) {
-    InflationaryOptions opts;
-    opts.context.num_threads = 4;
-    opts.context.scheduler = scheduler;
-    opts.context.min_slice_rows = 1 << 20;
-    auto capped = EvalInflationary(program, db, opts);
-    ASSERT_TRUE(capped.ok());
-    EXPECT_EQ(capped->stats.parallel_tasks, 0u);
-    EXPECT_EQ(capped->stats.slices, 0u);
-    ExpectSameRows(reference->state, capped->state);
-    ExpectSameStats(reference->stats, capped->stats, "capped cutoff");
-  }
-}
-
-TEST(AutoSchedulerTest, UniformWorkloadPicksStatic) {
-  // Transitive closure over a sparse random digraph: per delta row the
-  // probed posting list is one vertex's out-degree — i.i.d. and small —
-  // so the estimated work of the static partition's slices is
-  // near-uniform and the auto scheduler must keep the static slicer on
-  // every parallel stage (stealing's chunk machinery would be pure
-  // overhead here).
-  Rng rng(424242);
-  const size_t n = 48;
-  const Digraph g = RandomDigraph(n, 3.0 / n, &rng);
-  Database db;
-  GraphToDatabase(g, "E", &db);
-  Program program = testing::MustProgram(
-      "T(X,Y) :- E(X,Y).\n"
-      "T(X,Z) :- T(X,Y), E(Y,Z).\n",
-      db.shared_symbols());
-
-  InflationaryOptions serial_opts;
-  serial_opts.context.num_threads = 1;
-  auto serial = EvalInflationary(program, db, serial_opts);
-  ASSERT_TRUE(serial.ok());
-
   InflationaryOptions opts;
   opts.context.num_threads = 4;
-  opts.context.scheduler = StageScheduler::kAuto;
-  opts.context.min_slice_rows = 16;  // low floor so stages genuinely fan out
-  auto result = EvalInflationary(program, db, opts);
-  ASSERT_TRUE(result.ok());
-  EXPECT_GT(result->stats.auto_static_stages, 0u);
-  EXPECT_EQ(result->stats.auto_stealing_stages, 0u);
-  // Stealing never ran, so its bookkeeping stays zero.
-  EXPECT_EQ(result->stats.steals, 0u);
-  EXPECT_EQ(result->stats.splits, 0u);
-  EXPECT_EQ(result->stats.parks, 0u);
-  ExpectSameSets(serial->state, result->state);
-  EXPECT_EQ(serial->stage_sizes, result->stage_sizes);
-  ExpectSameStats(serial->stats, result->stats, "auto uniform");
+  opts.context.min_slice_rows = 1 << 20;
+  auto capped = EvalInflationary(program, db, opts);
+  ASSERT_TRUE(capped.ok());
+  EXPECT_EQ(capped->stats.parallel_tasks, 0u);
+  EXPECT_EQ(capped->stats.slices, 0u);
+  ExpectSameRows(reference->state, capped->state);
+  ExpectSameStats(reference->stats, capped->stats, "capped cutoff");
 }
 
-TEST(AutoSchedulerTest, HotShardHubSkewPicksStealing) {
+TEST(ParallelPartitionTest, HotShardHubSkewMatchesSerial) {
   // Miniature of bench E11: every R tuple hashes into shard 0 and a few
   // hub rows inside the leading slice window hide most of the probe
-  // fan-out, so the estimated slice work has coefficient of variation
-  // well above the default threshold and the auto scheduler must flip
-  // the skewed stage to stealing.
+  // fan-out, so one slice carries most of the skewed stage's join work.
+  // Whichever participant claims it, the ordered fold keeps every
+  // configuration bit-identical to serial.
   constexpr char kProgram[] =
       "R(Y) :- Seed(X), E0(X,Y).\n"
       "P(X,Y) :- R(X), Big(X,Y).\n";
@@ -663,36 +582,44 @@ TEST(AutoSchedulerTest, HotShardHubSkewPicksStealing) {
   auto serial = EvalInflationary(program, db, serial_opts);
   ASSERT_TRUE(serial.ok());
 
-  InflationaryOptions opts;
-  opts.context.num_threads = 4;
-  opts.context.num_shards = 8;
-  opts.context.scheduler = StageScheduler::kAuto;
-  opts.context.min_slice_rows = 16;
-  auto result = EvalInflationary(program, db, opts);
-  ASSERT_TRUE(result.ok());
-  EXPECT_GE(result->stats.auto_stealing_stages, 1u);
-  ExpectSameSets(serial->state, result->state);
-  EXPECT_EQ(serial->stage_sizes, result->stage_sizes);
-  ExpectSameStats(serial->stats, result->stats, "auto skew");
+  for (size_t shards : kShardCounts) {
+    InflationaryOptions ref_opts;
+    ref_opts.context.num_threads = 1;
+    ref_opts.context.num_shards = shards;
+    auto reference = EvalInflationary(program, db, ref_opts);
+    ASSERT_TRUE(reference.ok());
 
-  // Raising the flip threshold above the workload's CV must pin the
-  // very same stage back to static — the knob is live end to end.
-  InflationaryOptions capped = opts;
-  capped.context.steal_variance = 1e9;
-  auto pinned = EvalInflationary(program, db, capped);
-  ASSERT_TRUE(pinned.ok());
-  EXPECT_EQ(pinned->stats.auto_stealing_stages, 0u);
-  EXPECT_GT(pinned->stats.auto_static_stages, 0u);
-  ExpectSameSets(serial->state, pinned->state);
-  ExpectSameStats(serial->stats, pinned->stats, "auto skew pinned");
+    for (size_t threads : kThreadCounts) {
+      const std::string config = "hub skew " + ConfigName(threads, shards);
+      InflationaryOptions opts;
+      opts.context.num_threads = threads;
+      opts.context.num_shards = shards;
+      opts.context.min_slice_rows = 16;  // so the skewed stage fans out
+      auto result = EvalInflationary(program, db, opts);
+      ASSERT_TRUE(result.ok()) << config;
+      if (threads > 1) {
+        EXPECT_GT(result->stats.slices, 0u) << config;
+      }
+      ExpectSameRows(reference->state, result->state);
+      ExpectSameSets(serial->state, result->state);
+      EXPECT_EQ(serial->stage_sizes, result->stage_sizes) << config;
+      ExpectSameStats(serial->stats, result->stats, config);
+      for (size_t i = 0; i < serial->state.relations.size(); ++i) {
+        for (const Tuple& t : serial->state.relations[i].SortedTuples()) {
+          EXPECT_EQ(serial->TupleStage(i, t), result->TupleStage(i, t))
+              << config << " relation " << i;
+        }
+      }
+    }
+  }
 }
 
-TEST(AutoSchedulerTest, TinyDeltaPlansAreBatched) {
+TEST(ParallelPartitionTest, TinyDeltaPlansAreBatched) {
   // A rule-heavy copy chain: from stage 2 on, most compiled delta plans
   // scan an empty or nearly empty delta. The partition must coalesce
   // those tiny plans into shared tasks (batched_plans) instead of paying
-  // one staging relation per plan — under every scheduler, with results
-  // still bit-identical to serial.
+  // one staging relation per plan, with results still bit-identical to
+  // serial.
   Rng rng(515151);
   const size_t n = 24;
   const Digraph g = RandomDigraph(n, 2.5 / n, &rng);
@@ -711,26 +638,21 @@ TEST(AutoSchedulerTest, TinyDeltaPlansAreBatched) {
   ASSERT_TRUE(serial.ok());
   EXPECT_EQ(serial->stats.batched_plans, 0u);  // serial path: no partition
 
-  for (StageScheduler scheduler : kSchedulers) {
-    const std::string config =
-        "batching scheduler=" + std::string(StageSchedulerName(scheduler));
-    InflationaryOptions opts;
-    opts.context.num_threads = 2;
-    opts.context.scheduler = scheduler;
-    opts.context.min_slice_rows = 8;
-    auto result = EvalInflationary(program, db, opts);
-    ASSERT_TRUE(result.ok()) << config;
-    EXPECT_GT(result->stats.batched_plans, 0u) << config;
-    ExpectSameRows(serial->state, result->state);
-    EXPECT_EQ(serial->stage_sizes, result->stage_sizes) << config;
-    ExpectSameStats(serial->stats, result->stats, config);
-  }
+  InflationaryOptions opts;
+  opts.context.num_threads = 2;
+  opts.context.min_slice_rows = 8;
+  auto result = EvalInflationary(program, db, opts);
+  ASSERT_TRUE(result.ok());
+  EXPECT_GT(result->stats.batched_plans, 0u);
+  ExpectSameRows(serial->state, result->state);
+  EXPECT_EQ(serial->stage_sizes, result->stage_sizes);
+  ExpectSameStats(serial->stats, result->stats, "batching");
 }
 
 TEST_P(ParallelDeterminism, OptimizerSweepMatchesGreedyPlans) {
   // The plan-optimizer pipeline must preserve the determinism contract
-  // twice over. At a fixed pass selection, the {threads × shards ×
-  // scheduler} sweep stays bit-identical — rows at a fixed shard count,
+  // twice over. At a fixed pass selection, the {threads × shards} sweep
+  // stays bit-identical — rows at a fixed shard count,
   // sets and stats across shard counts, and the opt_* counters
   // everywhere (they are pure functions of program, database and pass
   // selection). And across pass selections, the answer itself —
@@ -771,37 +693,33 @@ TEST_P(ParallelDeterminism, OptimizerSweepMatchesGreedyPlans) {
     ASSERT_TRUE(reference.ok());
 
     for (size_t threads : kThreadCounts) {
-      for (StageScheduler scheduler : kSchedulers) {
-        const std::string config =
-            "optimized " + ConfigName(threads, shards, scheduler);
-        InflationaryOptions par_opts;
-        par_opts.context.num_threads = threads;
-        par_opts.context.num_shards = shards;
-        par_opts.context.scheduler = scheduler;
-        auto parallel = EvalInflationary(program, db, par_opts);
-        ASSERT_TRUE(parallel.ok()) << config;
+      const std::string config = "optimized " + ConfigName(threads, shards);
+      InflationaryOptions par_opts;
+      par_opts.context.num_threads = threads;
+      par_opts.context.num_shards = shards;
+      auto parallel = EvalInflationary(program, db, par_opts);
+      ASSERT_TRUE(parallel.ok()) << config;
 
-        ExpectSameRows(reference->state, parallel->state);
-        ExpectSameSets(greedy->state, parallel->state);
-        EXPECT_EQ(greedy->num_stages, parallel->num_stages) << config;
-        EXPECT_EQ(greedy->stage_sizes, parallel->stage_sizes) << config;
-        ExpectSameStats(opt_serial->stats, parallel->stats, config);
-        EXPECT_EQ(opt_serial->stats.opt_rules_eliminated,
-                  parallel->stats.opt_rules_eliminated)
-            << config;
-        EXPECT_EQ(opt_serial->stats.opt_plans_reordered,
-                  parallel->stats.opt_plans_reordered)
-            << config;
-        EXPECT_EQ(opt_serial->stats.opt_subplans_shared,
-                  parallel->stats.opt_subplans_shared)
-            << config;
-        EXPECT_EQ(opt_serial->stats.opt_shared_prefixes,
-                  parallel->stats.opt_shared_prefixes)
-            << config;
-        EXPECT_EQ(opt_serial->stats.opt_shared_rows,
-                  parallel->stats.opt_shared_rows)
-            << config;
-      }
+      ExpectSameRows(reference->state, parallel->state);
+      ExpectSameSets(greedy->state, parallel->state);
+      EXPECT_EQ(greedy->num_stages, parallel->num_stages) << config;
+      EXPECT_EQ(greedy->stage_sizes, parallel->stage_sizes) << config;
+      ExpectSameStats(opt_serial->stats, parallel->stats, config);
+      EXPECT_EQ(opt_serial->stats.opt_rules_eliminated,
+                parallel->stats.opt_rules_eliminated)
+          << config;
+      EXPECT_EQ(opt_serial->stats.opt_plans_reordered,
+                parallel->stats.opt_plans_reordered)
+          << config;
+      EXPECT_EQ(opt_serial->stats.opt_subplans_shared,
+                parallel->stats.opt_subplans_shared)
+          << config;
+      EXPECT_EQ(opt_serial->stats.opt_shared_prefixes,
+                parallel->stats.opt_shared_prefixes)
+          << config;
+      EXPECT_EQ(opt_serial->stats.opt_shared_rows,
+                parallel->stats.opt_shared_rows)
+          << config;
     }
   }
 }
@@ -843,8 +761,8 @@ UpdateStream RandomUpdateStream(uint64_t seed) {
 TEST_P(ParallelDeterminism, IncrementalMaintenanceMatchesScratchAcrossSweep) {
   // The incremental maintainer rides the same parallel stage machinery as
   // the fixpoint drivers, so it owes the same contract: at a fixed shard
-  // count the maintained state is row-identical across every (threads,
-  // scheduler) configuration, and every configuration's state equals a
+  // count the maintained state is row-identical across every thread
+  // count, and every configuration's state equals a
   // from-scratch evaluation of the post-update database as a set. Run the
   // sweep on a recursive-plus-negation stratified program (counting and
   // DRed units both maintained) and a positive inflationary one.
@@ -907,17 +825,14 @@ TEST_P(ParallelDeterminism, IncrementalMaintenanceMatchesScratchAcrossSweep) {
                             " incremental reference shards=" +
                             std::to_string(shards));
       for (size_t threads : kThreadCounts) {
-        for (StageScheduler scheduler : kSchedulers) {
-          const std::string config =
-              std::string(SemanticsKindName(c.kind)) + " incremental " +
-              ConfigName(threads, shards, scheduler);
-          EvalOptions opts;
-          opts.num_threads = threads;
-          opts.num_shards = shards;
-          opts.scheduler = scheduler;
-          const IdbState maintained = run(opts, config);
-          ExpectSameRows(reference, maintained);
-        }
+        const std::string config = std::string(SemanticsKindName(c.kind)) +
+                                   " incremental " +
+                                   ConfigName(threads, shards);
+        EvalOptions opts;
+        opts.num_threads = threads;
+        opts.num_shards = shards;
+        const IdbState maintained = run(opts, config);
+        ExpectSameRows(reference, maintained);
       }
     }
   }

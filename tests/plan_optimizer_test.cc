@@ -1,9 +1,7 @@
 // Tests for the plan-optimizer pass pipeline (src/opt/): pass-selection
 // parsing, golden compiled plans per pass (via RulePlan::ToString),
 // answer invariance across pass selections on all four semantics,
-// dead-rule elimination driven by the engine's output predicates, and
-// the scan-fallback delta work estimate the cost model shares with the
-// auto scheduler.
+// and dead-rule elimination driven by the engine's output predicates.
 
 #include <gtest/gtest.h>
 
@@ -518,47 +516,6 @@ TEST(ProgramRewriteTest, EngineEndToEndMatchesBaselineAndReportsCounters) {
                        IdbRelation(program, reference->state(), "Q")))
         << SemanticsKindName(kind);
   }
-}
-
-TEST(EstimateDeltaWorkTest, ScanFallbackUsesRelationCardinality) {
-  // The delta plan joins the delta against a keyless scan of E: no index
-  // probe is keyed by delta-bound variables, so sample_cost stays empty
-  // and uniform_cost must carry E's full cardinality instead of a flat 1.
-  auto symbols = std::make_shared<SymbolTable>();
-  Program program = MustProgram(
-      "W(X,Y) :- D(X), E(Z,Y).\n"
-      "D(X) :- Seed(X).\n"
-      "D(Y) :- D(X), Next(X,Y).\n",
-      symbols);
-  Database db(symbols);
-  for (int i = 0; i < 37; ++i) {
-    INFLOG_CHECK(
-        db.AddFactNamed("E", {std::to_string(i), std::to_string(i + 1)})
-            .ok());
-  }
-  INFLOG_CHECK(db.AddFactNamed("Seed", {"0"}).ok());
-  INFLOG_CHECK(db.AddFactNamed("Next", {"0", "1"}).ok());
-  auto ctx = EvalContext::Create(program, db);
-  ASSERT_TRUE(ctx.ok()) << ctx.status().ToString();
-
-  const std::vector<bool> all_dynamic(program.idb_predicates().size(), true);
-  const Rule& rule = program.rules()[0];
-  const auto candidates = DeltaCandidates(program, rule, all_dynamic);
-  ASSERT_EQ(candidates.size(), 1u);
-  RulePlan plan = PlanRule(program, 0, all_dynamic, candidates[0]);
-
-  IdbState state = MakeEmptyIdbState(program);
-  const int d_idb =
-      program.predicate(*program.FindPredicate("D")).idb_index;
-  Relation& d = state.relations[d_idb];
-  d.Insert(Tuple{symbols->Intern("0")});
-  d.Insert(Tuple{symbols->Intern("1")});
-
-  const std::vector<ShardRange> ranges = {{0, d.size()}};
-  const DeltaWorkEstimate est =
-      EstimateDeltaWork(*ctx, plan, state, ranges, 16);
-  EXPECT_TRUE(est.sample_cost.empty());
-  EXPECT_EQ(est.uniform_cost, 1u + 37u);
 }
 
 }  // namespace

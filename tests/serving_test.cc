@@ -5,7 +5,7 @@
 // snapshot-isolation sweep — N reader threads querying pinned snapshots
 // while a writer applies an update stream, every reader answer
 // cross-checked against a from-scratch evaluation of its pinned epoch,
-// across {1,2,8} shards x 3 schedulers (the configuration the CI TSan
+// across {1,2,8} shards x {2,4} threads (the configuration the CI TSan
 // job replays under the sanitizer).
 
 #include <gtest/gtest.h>
@@ -446,12 +446,9 @@ TEST_F(ServingTest, ServingConcurrentReadersSeeConsistentSnapshots) {
   const std::vector<std::string> queries = {
       "?T(1,X)", "?E(X,Y), T(Y,Z)", "?T(1,9)", "?U(X)", "?T(X,_)"};
   for (const size_t shards : {size_t{1}, size_t{2}, size_t{8}}) {
-    for (const StageScheduler scheduler :
-         {StageScheduler::kStatic, StageScheduler::kStealing,
-          StageScheduler::kAuto}) {
+    for (const size_t threads : {size_t{2}, size_t{4}}) {
       SCOPED_TRACE(::testing::Message()
-                   << "shards=" << shards << " scheduler="
-                   << static_cast<int>(scheduler));
+                   << "shards=" << shards << " threads=" << threads);
       auto symbols = std::make_shared<SymbolTable>();
       Program program = testing::MustProgram(kTwoIslandProgram, symbols);
       Database database(symbols);
@@ -461,9 +458,8 @@ TEST_F(ServingTest, ServingConcurrentReadersSeeConsistentSnapshots) {
       }
       IncrementalOptions options;
       options.semantics = MaintainedSemantics::kStratified;
-      options.context.num_threads = 2;
+      options.context.num_threads = threads;
       options.context.num_shards = shards;
-      options.context.scheduler = scheduler;
       auto session =
           serve::ServingSession::Create(program, &database, options);
       ASSERT_TRUE(session.ok()) << session.status().ToString();
