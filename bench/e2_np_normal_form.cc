@@ -19,7 +19,6 @@
 #include "src/fixpoint/analysis.h"
 #include "src/logic/thm1.h"
 #include "src/reductions/sat_db.h"
-#include "src/sat/portfolio.h"
 #include "src/sat/solver.h"
 
 namespace inflog {
@@ -136,34 +135,26 @@ void BM_Thm1CompiledSat(benchmark::State& state) {
 BENCHMARK(BM_Thm1CompiledSat)->Arg(8)->Arg(12)
     ->Unit(benchmark::kMillisecond);
 
-// --- CDCL core ablation: the modern-solver features, toggled one at a
-// time over the same instances. Config 0 reproduces the seed solver
-// (no preprocessing, no learnt deletion, single instance); config 4 is
-// the full modern core. Every iteration cross-checks its verdict against
-// the seed configuration's, so a speedup can never come from a changed
-// answer. Wall-clock (UseRealTime) so portfolio racing is measured
-// honestly rather than as the calling thread's CPU share. ---
+// --- CDCL core ablation: LBD-scored learnt-clause deletion off (the
+// seed solver) and on (the default) over the same instances. Every
+// iteration cross-checks its verdict against the seed configuration's,
+// so a speedup can never come from a changed answer. ---
 
 struct SatConfig {
   const char* name;
-  bool preprocess;
   bool reduce_db;
-  size_t portfolio;
 };
 
 constexpr SatConfig kSatConfigs[] = {
-    {"seed", false, false, 1},
-    {"deletion", false, true, 1},
-    {"preprocess", true, false, 1},
-    {"modern", true, true, 1},
-    {"modern_portfolio4", true, true, 4},
+    {"seed", false},
+    {"deletion", true},
 };
 
 /// A random 3-CNF core extended with definitional variables: each original
 /// clause (a ∨ b ∨ c) is split through a fresh d with d ↔ (a ∨ b) and
 /// (d ∨ c). The extension preserves satisfiability, doubles the variable
-/// count with NiVER-eliminable definitions, and models the Tseitin-style
-/// encodings the completion pipeline emits.
+/// count, and models the Tseitin-style encodings the completion pipeline
+/// emits.
 sat::Cnf DefinitionalExtension(const sat::Cnf& core) {
   sat::Cnf out;
   out.num_vars = core.num_vars;
@@ -200,10 +191,8 @@ void BM_CdclAblation(benchmark::State& state) {
   sat::SolverStats stats;
   for (auto _ : state) {
     sat::SolverOptions opts;
-    opts.preprocess = cfg.preprocess;
     opts.reduce_db = cfg.reduce_db;
-    opts.portfolio_threads = cfg.portfolio;
-    sat::PortfolioSolver solver(opts);
+    sat::Solver solver(opts);
     solver.AddCnf(cnf);
     const sat::SolveResult got = solver.Solve();
     INFLOG_CHECK(got == expected) << cfg.name;  // ablation cross-check
@@ -212,20 +201,15 @@ void BM_CdclAblation(benchmark::State& state) {
   state.SetLabel(cfg.name);
   state.counters["vars"] = num_vars;
   state.counters["clauses"] = static_cast<double>(cnf.clauses.size());
-  state.counters["preprocess"] = cfg.preprocess ? 1 : 0;
   state.counters["deletion"] = cfg.reduce_db ? 1 : 0;
-  state.counters["portfolio"] = static_cast<double>(cfg.portfolio);
   state.counters["conflicts"] = static_cast<double>(stats.conflicts);
   state.counters["learned"] = static_cast<double>(stats.learned_clauses);
   state.counters["deleted"] = static_cast<double>(stats.deleted_clauses);
-  state.counters["pre_vars_eliminated"] =
-      static_cast<double>(stats.preprocess_vars_eliminated);
   state.counters["satisfiable"] =
       expected == sat::SolveResult::kSat ? 1 : 0;
 }
 BENCHMARK(BM_CdclAblation)
-    ->ArgsProduct({{60, 90, 120}, {0, 1, 2, 3, 4}})
-    ->UseRealTime()
+    ->ArgsProduct({{60, 90, 120}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -100,32 +100,6 @@ case "$incremental" in
     ;;
 esac
 
-# The CDCL core configuration the run was driven with: `sat_preprocess`
-# records whether the SAT preprocessing front-end was on (0, the solver
-# default, or 1) and `sat_portfolio` the portfolio width (1 = the plain
-# single solver). Like updates/incremental these are trajectory metadata
-# mirroring the CLI's --sat-preprocess/--sat-portfolio flags; E2's
-# built-in CdclAblation series sweeps the configurations itself and
-# carries them in its counters.
-sat_preprocess="${INFLOG_SAT_PREPROCESS:-0}"
-case "$sat_preprocess" in
-  0|1) ;;
-  *)
-    echo "error: INFLOG_SAT_PREPROCESS must be 0 or 1," \
-      "got '$sat_preprocess'" >&2
-    exit 1
-    ;;
-esac
-
-sat_portfolio="${INFLOG_SAT_PORTFOLIO:-1}"
-case "$sat_portfolio" in
-  ''|0|*[!0-9]*)
-    echo "error: INFLOG_SAT_PORTFOLIO must be a positive integer," \
-      "got '$sat_portfolio'" >&2
-    exit 1
-    ;;
-esac
-
 # The serving configuration the run was driven with: `serve_threads`
 # records the reader thread count (mirrors the CLI's --serve-threads;
 # E14 sweeps 1..8 itself and carries the count in its counters) and
@@ -197,21 +171,17 @@ for bin in "$build_dir"/e[0-9]_* "$build_dir"/e[0-9][0-9]_*; do
     # A filter that matches nothing leaves the binary silent; keep one
     # line per bench anyway so trajectories stay aligned.
     printf \
-      '{"bench":"%s","threads":%s,"shards":%s,"optimize":"%s","updates":%s,"incremental":%s,"sat_preprocess":%s,"sat_portfolio":%s,"serve_threads":%s,"cache":%s,"context":null,"benchmarks":[]}\n' \
+      '{"bench":"%s","threads":%s,"shards":%s,"optimize":"%s","updates":%s,"incremental":%s,"serve_threads":%s,"cache":%s,"context":null,"benchmarks":[]}\n' \
       "$name" "$threads" "$shards" "$optimize" "$updates" \
-      "$incremental" "$sat_preprocess" "$sat_portfolio" \
-      "$serve_threads" "$cache"
+      "$incremental" "$serve_threads" "$cache"
     continue
   fi
   jq -c --arg bench "$name" --argjson threads "$threads" \
     --argjson shards "$shards" --arg optimize "$optimize" \
     --argjson updates "$updates" --argjson incremental "$incremental" \
-    --argjson sat_preprocess "$sat_preprocess" \
-    --argjson sat_portfolio "$sat_portfolio" \
     --argjson serve_threads "$serve_threads" --argjson cache "$cache" \
     '{bench: $bench, threads: $threads, shards: $shards,
       optimize: $optimize, updates: $updates, incremental: $incremental,
-      sat_preprocess: $sat_preprocess, sat_portfolio: $sat_portfolio,
       serve_threads: $serve_threads, cache: $cache,
       context: .context, benchmarks: .benchmarks}' <<<"$out"
 done

@@ -5,8 +5,7 @@
 //   inflog_cli [--threads=N] [--shards=S] [--min-slice-rows=R]
 //     [--optimize=LIST] [--list-optimize-passes]
 //     [--query=NAMES] [--reject-unsafe-negation] [--stats]
-//     [--sat-preprocess=0|1] [--sat-deletion=0|1] [--sat-portfolio=K]
-//     [--sat-reduce-interval=N] [--dump-cnf=FILE]
+//     [--dump-cnf=FILE]
 //     [--apply-updates=FILE] [--verify-incremental]
 //     [--serve] [--serve-threads=N] [--serve-cache=0|1]
 //     [--compact-threshold=F] [--update-batch=N]
@@ -44,21 +43,16 @@
 // prints the executor counters (index probes, posting-list
 // intersections, rows matched, parallel tasks, slice histogram, ...)
 // after the result, so bench numbers can be explained from the CLI; for
-// modes without a relational fixpoint run it says so. Any other
-// argument starting with "--" is rejected as an unknown flag (exit 2).
+// modes without a relational fixpoint run it says so. Every valued flag
+// takes --x=V or --x V. Any other argument starting with "--" is
+// rejected as an unknown flag (exit 2).
 //
-// The --sat-* flags configure the CDCL core behind the SAT-backed modes
-// (stable, fixpoints): --sat-preprocess=0|1 toggles the preprocessing
-// front-end (root BCP, pure literals, bounded variable elimination;
-// default 0), --sat-deletion=0|1 the LBD-scored learnt-clause database
-// reduction (default 1), --sat-portfolio=K races K diversified solver
-// instances and takes the first definitive answer (default 1 = the plain
-// single solver), and --sat-reduce-interval=N sets the conflicts between
-// learnt-DB reductions (0 = the built-in default, 2000). Results are
-// bit-identical for every --sat-* combination — the enumerations are
-// canonicalized — only the sat_* search counters vary. --dump-cnf=FILE
-// writes the Clark-completion encoding of the loaded (program, database)
-// as DIMACS CNF to FILE and continues with the requested run.
+// The SAT-backed modes (stable, fixpoints) run one deterministic CDCL
+// solver, so repeated runs print the same models; fixpoints caps its
+// enumeration at 64 and prints the first 64 the search finds, sorted.
+// --dump-cnf=FILE writes the Clark-completion encoding of the loaded
+// (program, database) as DIMACS CNF to FILE and continues with the
+// requested run.
 //
 // --apply-updates=FILE switches the run into incremental view
 // maintenance: the program is evaluated once under the chosen semantics
@@ -106,9 +100,11 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/thread_pool.h"
@@ -152,6 +148,16 @@ void PrintState(const inflog::Engine& engine, const inflog::IdbState& state) {
   }
 }
 
+// The sat_* lines of --stats, shared by every SAT-backed mode.
+void PrintSatStats(const inflog::EvalStats& s) {
+  std::cout << "  sat_conflicts        " << s.sat_conflicts << "\n"
+            << "  sat_decisions        " << s.sat_decisions << "\n"
+            << "  sat_propagations     " << s.sat_propagations << "\n"
+            << "  sat_restarts         " << s.sat_restarts << "\n"
+            << "  sat_learned          " << s.sat_learned << "\n"
+            << "  sat_deleted          " << s.sat_deleted << "\n";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -171,209 +177,141 @@ int main(int argc, char** argv) {
   size_t serve_cache = 1;    // query-result cache on/off
   double compact_threshold = 0.3;  // dead-row share; 0 disables
   size_t update_batch = 1;         // update lines coalesced per ApplyUpdate
-  // CDCL core knobs for the SAT-backed modes; the defaults match
-  // sat::SolverOptions (preprocessing off, deletion on, plain solver).
-  size_t sat_preprocess = 0;
-  size_t sat_deletion = 1;
-  size_t sat_portfolio = 1;
-  size_t sat_reduce_interval = 0;  // 0 = the solver default (2000)
   std::string dump_cnf;            // empty = no DIMACS dump
   std::vector<std::string> args;
-  auto parse_count = [](const char* flag, const std::string& value,
-                        long max, size_t* out) {
-    errno = 0;
-    char* end = nullptr;
-    const long n = std::strtol(value.c_str(), &end, 10);
-    if (value.empty() || end != value.c_str() + value.size() || n < 0 ||
-        errno == ERANGE || n > max) {
-      std::cerr << "error: " << flag << " expects an integer in [0, "
-                << max << "], got '" << value << "'\n";
-      return false;
-    }
-    *out = static_cast<size_t>(n);
-    return true;
+  // Every valued flag is one row: its name and a parser that stores the
+  // value, or prints why it is invalid and returns false (exit 2).
+  using FlagParser = std::function<bool(const char*, const std::string&)>;
+  auto count = [](long max, size_t* out) -> FlagParser {
+    return [max, out](const char* flag, const std::string& value) {
+      errno = 0;
+      char* end = nullptr;
+      const long n = std::strtol(value.c_str(), &end, 10);
+      if (value.empty() || end != value.c_str() + value.size() || n < 0 ||
+          errno == ERANGE || n > max) {
+        std::cerr << "error: " << flag << " expects an integer in [0, "
+                  << max << "], got '" << value << "'\n";
+        return false;
+      }
+      *out = static_cast<size_t>(n);
+      return true;
+    };
+  };
+  auto file = [](std::string* out) -> FlagParser {
+    return [out](const char* flag, const std::string& value) {
+      if (value.empty()) {
+        std::cerr << "error: " << flag << " requires a file\n";
+        return false;
+      }
+      *out = value;
+      return true;
+    };
+  };
+  const std::pair<const char*, FlagParser> valued_flags[] = {
+      {"--threads", count(1024, &num_threads)},
+      // The evaluator clamps shard counts to kMaxShards; reject higher
+      // values here instead of silently running a different sweep point.
+      {"--shards",
+       count(static_cast<long>(inflog::EvalContextOptions::kMaxShards),
+             &num_shards)},
+      {"--min-slice-rows", count(1 << 20, &min_slice_rows)},
+      // 64 reader threads is far beyond any sensible CLI use and keeps
+      // typos from spawning thousands.
+      {"--serve-threads", count(64, &serve_threads)},
+      {"--serve-cache", count(1, &serve_cache)},
+      {"--update-batch", count(1 << 20, &update_batch)},
+      {"--apply-updates", file(&apply_updates)},
+      {"--dump-cnf", file(&dump_cnf)},
+      {"--compact-threshold",
+       [&](const char* flag, const std::string& value) {
+         errno = 0;
+         char* end = nullptr;
+         const double v = std::strtod(value.c_str(), &end);
+         if (value.empty() || end != value.c_str() + value.size() ||
+             errno == ERANGE || !std::isfinite(v) || v < 0 || v > 1) {
+           std::cerr << "error: " << flag
+                     << " expects a number in [0, 1], got '" << value
+                     << "'\n";
+           return false;
+         }
+         compact_threshold = v;
+         return true;
+       }},
+      {"--optimize",
+       [&](const char*, const std::string& value) {
+         auto parsed = inflog::ParseOptimizerPasses(value);
+         if (!parsed.ok()) {
+           std::cerr << "error: " << parsed.status().ToString() << "\n";
+           return false;
+         }
+         optimizer_passes = *parsed;
+         return true;
+       }},
+      {"--query",
+       [&](const char* flag, const std::string& value) {
+         size_t start = 0;
+         while (start <= value.size()) {
+           const size_t comma = value.find(',', start);
+           const size_t end =
+               comma == std::string::npos ? value.size() : comma;
+           if (end > start) {
+             g_query.push_back(value.substr(start, end - start));
+           }
+           if (comma == std::string::npos) break;
+           start = comma + 1;
+         }
+         if (g_query.empty()) {
+           std::cerr << "error: " << flag
+                     << " expects a comma list of IDB predicate names, "
+                        "got '"
+                     << value << "'\n";
+           return false;
+         }
+         return true;
+       }},
+  };
+  const std::pair<const char*, bool*> switches[] = {
+      {"--stats", &print_stats},
+      {"--reject-unsafe-negation", &reject_unsafe_negation},
+      {"--verify-incremental", &verify_incremental},
+      {"--serve", &serve_mode},
   };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto flag_value = [&](const char* flag, long max, size_t* out) -> int {
-      const std::string eq = std::string(flag) + "=";
-      if (arg.rfind(eq, 0) == 0) {
-        return parse_count(flag, arg.substr(eq.size()), max, out) ? 1 : -1;
-      }
-      if (arg == flag) {
-        if (i + 1 >= argc) {
-          std::cerr << "error: " << flag << " requires a value\n";
-          return -1;
-        }
-        return parse_count(flag, argv[++i], max, out) ? 1 : -1;
-      }
-      return 0;
-    };
-    if (arg == "--stats") {
-      print_stats = true;
-      continue;
-    }
-    if (arg == "--reject-unsafe-negation") {
-      reject_unsafe_negation = true;
-      continue;
-    }
-    if (arg == "--verify-incremental") {
-      verify_incremental = true;
-      continue;
-    }
-    if (arg == "--serve") {
-      serve_mode = true;
-      continue;
-    }
-    if (arg == "--compact-threshold" ||
-        arg.rfind("--compact-threshold=", 0) == 0) {
-      std::string value;
-      if (arg == "--compact-threshold") {  // two-token form
-        if (i + 1 >= argc) {
-          std::cerr << "error: --compact-threshold requires a value\n";
-          return 2;
-        }
-        value = argv[++i];
-      } else {
-        value = arg.substr(sizeof("--compact-threshold=") - 1);
-      }
-      errno = 0;
-      char* end = nullptr;
-      const double v = std::strtod(value.c_str(), &end);
-      if (value.empty() || end != value.c_str() + value.size() ||
-          errno == ERANGE || !std::isfinite(v) || v < 0 || v > 1) {
-        std::cerr << "error: --compact-threshold expects a number in "
-                     "[0, 1], got '"
-                  << value << "'\n";
-        return 2;
-      }
-      compact_threshold = v;
-      continue;
-    }
-    if (arg == "--apply-updates" || arg.rfind("--apply-updates=", 0) == 0) {
-      if (arg == "--apply-updates") {  // two-token form
-        if (i + 1 >= argc) {
-          std::cerr << "error: --apply-updates requires a file\n";
-          return 2;
-        }
-        apply_updates = argv[++i];
-      } else {
-        apply_updates = arg.substr(sizeof("--apply-updates=") - 1);
-      }
-      if (apply_updates.empty()) {
-        std::cerr << "error: --apply-updates requires a file\n";
-        return 2;
-      }
-      continue;
-    }
-    if (arg == "--dump-cnf" || arg.rfind("--dump-cnf=", 0) == 0) {
-      if (arg == "--dump-cnf") {  // two-token form
-        if (i + 1 >= argc) {
-          std::cerr << "error: --dump-cnf requires a file\n";
-          return 2;
-        }
-        dump_cnf = argv[++i];
-      } else {
-        dump_cnf = arg.substr(sizeof("--dump-cnf=") - 1);
-      }
-      if (dump_cnf.empty()) {
-        std::cerr << "error: --dump-cnf requires a file\n";
-        return 2;
-      }
-      continue;
-    }
     if (arg == "--list-optimize-passes") {
       for (const std::string_view token : inflog::OptimizerPassTokens()) {
         std::cout << token << "\n";
       }
       return 0;
     }
-    if (arg == "--optimize" || arg.rfind("--optimize=", 0) == 0) {
+    const auto on = std::find_if(
+        std::begin(switches), std::end(switches),
+        [&](const auto& entry) { return arg == entry.first; });
+    if (on != std::end(switches)) {
+      *on->second = true;
+      continue;
+    }
+    // A valued flag takes --x=V, or --x V with V in the next argument.
+    bool handled = false;
+    for (const auto& [flag, parse] : valued_flags) {
+      const std::string eq = std::string(flag) + "=";
       std::string value;
-      if (arg == "--optimize") {  // two-token form
+      if (arg.rfind(eq, 0) == 0) {
+        value = arg.substr(eq.size());
+      } else if (arg == flag) {
         if (i + 1 >= argc) {
-          std::cerr << "error: --optimize requires a value\n";
+          std::cerr << "error: " << flag << " requires a value\n";
           return 2;
         }
         value = argv[++i];
       } else {
-        value = arg.substr(sizeof("--optimize=") - 1);
+        continue;
       }
-      auto parsed = inflog::ParseOptimizerPasses(value);
-      if (!parsed.ok()) {
-        std::cerr << "error: " << parsed.status().ToString() << "\n";
-        return 2;
-      }
-      optimizer_passes = *parsed;
-      continue;
+      if (!parse(flag, value)) return 2;
+      handled = true;
+      break;
     }
-    if (arg == "--query" || arg.rfind("--query=", 0) == 0) {
-      std::string value;
-      if (arg == "--query") {  // two-token form
-        if (i + 1 >= argc) {
-          std::cerr << "error: --query requires a value\n";
-          return 2;
-        }
-        value = argv[++i];
-      } else {
-        value = arg.substr(sizeof("--query=") - 1);
-      }
-      size_t start = 0;
-      while (start <= value.size()) {
-        const size_t comma = value.find(',', start);
-        const size_t end = comma == std::string::npos ? value.size() : comma;
-        if (end > start) g_query.push_back(value.substr(start, end - start));
-        if (comma == std::string::npos) break;
-        start = comma + 1;
-      }
-      if (g_query.empty()) {
-        std::cerr << "error: --query expects a comma list of IDB "
-                     "predicate names, got '"
-                  << value << "'\n";
-        return 2;
-      }
-      continue;
-    }
-    int handled = flag_value("--threads", 1024, &num_threads);
-    if (handled == 0) {
-      // The evaluator clamps shard counts to kMaxShards; reject higher
-      // values here instead of silently running a different sweep point.
-      handled = flag_value(
-          "--shards",
-          static_cast<long>(inflog::EvalContextOptions::kMaxShards),
-          &num_shards);
-    }
-    if (handled == 0) {
-      handled = flag_value("--min-slice-rows", 1 << 20, &min_slice_rows);
-    }
-    if (handled == 0) {
-      handled = flag_value("--sat-preprocess", 1, &sat_preprocess);
-    }
-    if (handled == 0) {
-      handled = flag_value("--sat-deletion", 1, &sat_deletion);
-    }
-    if (handled == 0) {
-      // The portfolio races K diversified members; 64 is far beyond any
-      // sensible core count and keeps typos from spawning thousands.
-      handled = flag_value("--sat-portfolio", 64, &sat_portfolio);
-    }
-    if (handled == 0) {
-      handled =
-          flag_value("--sat-reduce-interval", 1 << 20, &sat_reduce_interval);
-    }
-    if (handled == 0) {
-      // 64 reader threads is far beyond any sensible CLI use and keeps
-      // typos from spawning thousands.
-      handled = flag_value("--serve-threads", 64, &serve_threads);
-    }
-    if (handled == 0) {
-      handled = flag_value("--serve-cache", 1, &serve_cache);
-    }
-    if (handled == 0) {
-      handled = flag_value("--update-batch", 1 << 20, &update_batch);
-    }
-    if (handled < 0) return 2;
-    if (handled > 0) continue;
+    if (handled) continue;
     if (arg.rfind("--", 0) == 0) {
       std::cerr << "error: unknown flag " << arg << "\n";
       return 2;
@@ -393,9 +331,7 @@ int main(int argc, char** argv) {
                  "[--optimize=all|none|dce,reorder,"
                  "share,magic,inline] [--list-optimize-passes] "
                  "[--query=NAMES] [--reject-unsafe-negation] "
-                 "[--stats] [--sat-preprocess=0|1] [--sat-deletion=0|1] "
-                 "[--sat-portfolio=K] [--sat-reduce-interval=N] "
-                 "[--dump-cnf=FILE] [--apply-updates=FILE] "
+                 "[--stats] [--dump-cnf=FILE] [--apply-updates=FILE] "
                  "[--verify-incremental] [--serve] [--serve-threads=N] "
                  "[--serve-cache=0|1] [--compact-threshold=F] "
                  "[--update-batch=N] "
@@ -413,12 +349,6 @@ int main(int argc, char** argv) {
   auto db_text = ReadFile(args[1]);
   if (!db_text.ok()) return Fail(db_text.status());
   if (auto s = engine.LoadDatabaseText(*db_text); !s.ok()) return Fail(s);
-
-  inflog::sat::SolverOptions sat_options;
-  sat_options.preprocess = sat_preprocess != 0;
-  sat_options.reduce_db = sat_deletion != 0;
-  sat_options.portfolio_threads = sat_portfolio == 0 ? 1 : sat_portfolio;
-  sat_options.reduce_base = sat_reduce_interval;  // 0 = solver default
 
   if (!dump_cnf.empty()) {
     // Ground + Clark-complete the loaded (program, database) and write
@@ -462,7 +392,6 @@ int main(int argc, char** argv) {
     options.reject_unsafe_negation = reject_unsafe_negation;
     options.optimizer_passes = optimizer_passes;
     options.output_predicates = g_query;
-    options.sat = sat_options;
     if (serve_mode && !apply_updates.empty()) {
       std::cerr << "error: --serve and --apply-updates are exclusive\n";
       return 2;
@@ -731,17 +660,8 @@ int main(int argc, char** argv) {
                   << "  opt_magic_rules_generated " << s->opt_magic_rules_generated
                   << "\n"
                   << "  opt_rules_inlined    " << s->opt_rules_inlined
-                  << "\n"
-                  << "  sat_conflicts        " << s->sat_conflicts << "\n"
-                  << "  sat_decisions        " << s->sat_decisions << "\n"
-                  << "  sat_propagations     " << s->sat_propagations << "\n"
-                  << "  sat_restarts         " << s->sat_restarts << "\n"
-                  << "  sat_learned          " << s->sat_learned << "\n"
-                  << "  sat_deleted          " << s->sat_deleted << "\n"
-                  << "  sat_pre_vars_elim    "
-                  << s->sat_preprocess_vars_eliminated << "\n"
-                  << "  sat_pre_clauses_rm   "
-                  << s->sat_preprocess_clauses_removed << "\n";
+                  << "\n";
+        PrintSatStats(*s);
         // Executed-slice size distribution, log2 buckets; only the
         // populated ones, so serial runs print a single empty line.
         std::cout << "  slice_hist      ";
@@ -760,9 +680,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (semantics == "fixpoints") {
-    inflog::AnalyzeOptions analyze;
-    analyze.solver = sat_options;
-    auto analyzer = engine.MakeAnalyzer(analyze);
+    auto analyzer = engine.MakeAnalyzer();
     if (!analyzer.ok()) return Fail(analyzer.status());
     auto fixpoints = analyzer->EnumerateFixpoints(/*limit=*/64);
     if (!fixpoints.ok()) return Fail(fixpoints.status());
@@ -779,18 +697,8 @@ int main(int argc, char** argv) {
     if (print_stats) {
       // Fixpoint analysis runs the CDCL pipeline, not the relational
       // executor: the sat_* block is the whole story.
-      const inflog::sat::SolverStats& s = analyzer->sat_stats();
-      std::cout << "stats:\n"
-                << "  sat_conflicts        " << s.conflicts << "\n"
-                << "  sat_decisions        " << s.decisions << "\n"
-                << "  sat_propagations     " << s.propagations << "\n"
-                << "  sat_restarts         " << s.restarts << "\n"
-                << "  sat_learned          " << s.learned_clauses << "\n"
-                << "  sat_deleted          " << s.deleted_clauses << "\n"
-                << "  sat_pre_vars_elim    " << s.preprocess_vars_eliminated
-                << "\n"
-                << "  sat_pre_clauses_rm   " << s.preprocess_clauses_removed
-                << "\n";
+      std::cout << "stats:\n";
+      PrintSatStats(inflog::SatEvalStats(analyzer->sat_stats()));
     }
     return 0;
   }

@@ -177,9 +177,7 @@ Result<EvalOutcome> Engine::Evaluate(SemanticsKind kind,
       return out;
     }
     case SemanticsKind::kStable: {
-      StableOptions opts = options.stable;
-      opts.analyze.solver = options.sat;
-      INFLOG_ASSIGN_OR_RETURN(StableResult r, StableModels(opts));
+      INFLOG_ASSIGN_OR_RETURN(StableResult r, StableModels(options.stable));
       out.detail = std::move(r);
       return out;
     }
@@ -242,7 +240,6 @@ IncrementalOptions MakeIncrementalOptions(SemanticsKind kind,
   opts.context.optimizer_passes = options.optimizer_passes;
   opts.wellfounded = options.wellfounded;
   opts.stable = options.stable;
-  opts.stable.analyze.solver = options.sat;
   return opts;
 }
 

@@ -100,12 +100,6 @@ struct EvalOptions {
   /// coalescing). Consulted by BeginServing only; the query answers are
   /// bit-identical for every setting.
   serve::ServingTuning serving;
-  /// CDCL solver configuration for the SAT-backed stable pipeline
-  /// (preprocessing, learnt-clause deletion, portfolio width, budgets).
-  /// Authoritative for Evaluate(): it overrides the solver options nested
-  /// in `stable`. Results are identical for every configuration —
-  /// enumeration is canonicalized — only the search statistics vary.
-  sat::SolverOptions sat;
   InflationaryOptions inflationary;
   StratifiedOptions stratified;
   GrounderOptions wellfounded;

@@ -88,23 +88,15 @@ struct EvalStats {
   uint64_t incremental_dred_units = 0;      ///< Recursive rule units
                                             ///< maintained by DRed.
   // SAT core counters (src/sat/solver.h SolverStats), filled by the
-  // grounded stable pipeline (and any caller that runs the CDCL solver).
-  // The search counters (conflicts .. deleted) describe *how* the solver
-  // searched and vary with the solver configuration (preprocessing,
-  // deletion, portfolio width); the results they lead to are bit-identical
-  // across every configuration.
+  // grounded stable pipeline (and any caller that runs the CDCL solver,
+  // through SatEvalStats in src/eval/stable.h). They describe *how* the
+  // solver searched, not what it found.
   uint64_t sat_conflicts = 0;     ///< CDCL conflicts across all solves.
   uint64_t sat_decisions = 0;     ///< Branching decisions.
   uint64_t sat_propagations = 0;  ///< Unit propagations.
   uint64_t sat_restarts = 0;      ///< Luby restarts.
   uint64_t sat_learned = 0;       ///< Clauses learned from conflicts.
   uint64_t sat_deleted = 0;       ///< Learnt clauses dropped by ReduceDB.
-  uint64_t sat_preprocess_vars_eliminated = 0;    ///< Vars removed by the
-                                                  ///< preprocessing
-                                                  ///< front-end.
-  uint64_t sat_preprocess_clauses_removed = 0;    ///< Net clause-count
-                                                  ///< drop from
-                                                  ///< preprocessing.
   // Serving-layer counters (src/serve/), filled by ServingSession. Like
   // the executor block, they describe how the session was driven
   // (thread count, cache on/off, batching window) — the query answers
@@ -174,8 +166,6 @@ struct EvalStats {
     sat_restarts += other.sat_restarts;
     sat_learned += other.sat_learned;
     sat_deleted += other.sat_deleted;
-    sat_preprocess_vars_eliminated += other.sat_preprocess_vars_eliminated;
-    sat_preprocess_clauses_removed += other.sat_preprocess_clauses_removed;
     serve_epochs_published += other.serve_epochs_published;
     serve_snapshots_pinned += other.serve_snapshots_pinned;
     serve_queries += other.serve_queries;

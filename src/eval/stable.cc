@@ -6,22 +6,16 @@
 
 namespace inflog {
 
-namespace {
-
-// Copies a portfolio's aggregated CDCL counters into the sat_* block of
-// the engine-level stats.
-void FillSatStats(const sat::SolverStats& s, EvalStats* stats) {
-  stats->sat_conflicts = s.conflicts;
-  stats->sat_decisions = s.decisions;
-  stats->sat_propagations = s.propagations;
-  stats->sat_restarts = s.restarts;
-  stats->sat_learned = s.learned_clauses;
-  stats->sat_deleted = s.deleted_clauses;
-  stats->sat_preprocess_vars_eliminated = s.preprocess_vars_eliminated;
-  stats->sat_preprocess_clauses_removed = s.preprocess_clauses_removed;
+EvalStats SatEvalStats(const sat::SolverStats& s) {
+  EvalStats stats;
+  stats.sat_conflicts = s.conflicts;
+  stats.sat_decisions = s.decisions;
+  stats.sat_propagations = s.propagations;
+  stats.sat_restarts = s.restarts;
+  stats.sat_learned = s.learned_clauses;
+  stats.sat_deleted = s.deleted_clauses;
+  return stats;
 }
-
-}  // namespace
 
 Result<StableResult> EnumerateStableModels(const Program& program,
                                            const Database& database,
@@ -33,14 +27,9 @@ Result<StableResult> EnumerateStableModels(const Program& program,
   const CompletionEncoding& encoding = analyzer.encoding();
 
   // Enumerate supported models directly at the SAT level so we can apply
-  // the stability filter on atom vectors. Atom variables are frozen: the
-  // blocking clauses below reference them after the first Solve, and
-  // freezing keeps preprocessing an exact projection onto them.
-  sat::PortfolioSolver solver(options.analyze.solver);
+  // the stability filter on atom vectors.
+  sat::Solver solver(options.analyze.solver);
   solver.AddCnf(encoding.cnf);
-  for (const int32_t var : encoding.atom_vars) {
-    if (var >= 0) solver.FreezeVar(var);
-  }
 
   StableResult out;
   std::vector<std::vector<bool>> stable_atoms;
@@ -75,14 +64,14 @@ Result<StableResult> EnumerateStableModels(const Program& program,
   if (!enumeration_complete) {
     return Status::ResourceExhausted("supported-model budget exhausted");
   }
-  // Canonical order: the model list is then identical whatever order the
-  // solver configuration produced the supported models in.
+  // Canonical order, independent of the order the search found the
+  // supported models in.
   std::sort(stable_atoms.begin(), stable_atoms.end());
   out.models.reserve(stable_atoms.size());
   for (const std::vector<bool>& atoms : stable_atoms) {
     out.models.push_back(ground.DecodeState(program, atoms));
   }
-  FillSatStats(solver.stats(), &out.stats);
+  out.stats = SatEvalStats(solver.stats());
   return out;
 }
 

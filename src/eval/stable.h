@@ -33,9 +33,7 @@ struct StableOptions {
 
 /// Result of stable-model enumeration.
 struct StableResult {
-  /// The stable models, sorted canonically (by ground-atom assignment) so
-  /// the result is bit-identical whatever order the solver configuration
-  /// (preprocessing, deletion, portfolio width) finds them in.
+  /// The stable models, sorted canonically (by ground-atom assignment).
   std::vector<IdbState> models;
   /// Supported models (fixpoints) examined — ≥ models.size(); the gap is
   /// the supported-but-not-stable count (e.g. self-supported loops).
@@ -44,6 +42,11 @@ struct StableResult {
   /// supported-model enumeration.
   EvalStats stats;
 };
+
+/// The engine-level view of CDCL counters: an EvalStats whose sat_* block
+/// holds `s` and whose other counters are zero. The one SolverStats ->
+/// EvalStats mapping, shared by every SAT-backed path.
+EvalStats SatEvalStats(const sat::SolverStats& s);
 
 /// Enumerates the stable models of (π, D).
 Result<StableResult> EnumerateStableModels(const Program& program,

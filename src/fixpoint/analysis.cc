@@ -19,16 +19,9 @@ Result<FixpointAnalyzer> FixpointAnalyzer::Create(const Program* program,
   return analyzer;
 }
 
-Result<sat::PortfolioSolver> FixpointAnalyzer::MakeSolver() const {
-  sat::PortfolioSolver solver(options_.solver);
+sat::Solver FixpointAnalyzer::MakeSolver() const {
+  sat::Solver solver(options_.solver);
   solver.AddCnf(encoding_.cnf);
-  // Blocking clauses and activation assumptions reference the atom
-  // variables after the first Solve: freeze them so preprocessing cannot
-  // eliminate them (elimination is an exact existential projection, so the
-  // model set over the frozen variables is unchanged).
-  for (const int32_t var : encoding_.atom_vars) {
-    if (var >= 0) solver.FreezeVar(var);
-  }
   return solver;
 }
 
@@ -58,7 +51,7 @@ sat::Clause FixpointAnalyzer::BlockingClause(
 }
 
 Result<bool> FixpointAnalyzer::HasFixpoint() const {
-  INFLOG_ASSIGN_OR_RETURN(sat::PortfolioSolver solver, MakeSolver());
+  sat::Solver solver = MakeSolver();
   const sat::SolveResult res = solver.Solve();
   sat_stats_.Add(solver.stats());
   if (res == sat::SolveResult::kUnknown) {
@@ -68,7 +61,7 @@ Result<bool> FixpointAnalyzer::HasFixpoint() const {
 }
 
 Result<std::optional<IdbState>> FixpointAnalyzer::FindFixpoint() const {
-  INFLOG_ASSIGN_OR_RETURN(sat::PortfolioSolver solver, MakeSolver());
+  sat::Solver solver = MakeSolver();
   const sat::SolveResult res = solver.Solve();
   sat_stats_.Add(solver.stats());
   if (res == sat::SolveResult::kUnknown) {
@@ -84,7 +77,7 @@ Result<std::optional<IdbState>> FixpointAnalyzer::FindFixpoint() const {
 
 Result<std::vector<IdbState>> FixpointAnalyzer::EnumerateFixpoints(
     size_t limit) const {
-  INFLOG_ASSIGN_OR_RETURN(sat::PortfolioSolver solver, MakeSolver());
+  sat::Solver solver = MakeSolver();
   std::vector<std::vector<bool>> found;
   while (limit == 0 || found.size() < limit) {
     const sat::SolveResult res = solver.Solve();
@@ -99,8 +92,7 @@ Result<std::vector<IdbState>> FixpointAnalyzer::EnumerateFixpoints(
     if (block.empty() || !solver.AddClause(block)) break;
   }
   sat_stats_.Add(solver.stats());
-  // Canonical order: a full enumeration is then identical whatever the
-  // solver configuration found the models in.
+  // Canonical order, independent of the order the search found them in.
   std::sort(found.begin(), found.end());
   std::vector<IdbState> fixpoints;
   fixpoints.reserve(found.size());
@@ -112,7 +104,7 @@ Result<std::vector<IdbState>> FixpointAnalyzer::EnumerateFixpoints(
 }
 
 Result<uint64_t> FixpointAnalyzer::CountFixpoints(uint64_t limit) const {
-  INFLOG_ASSIGN_OR_RETURN(sat::PortfolioSolver solver, MakeSolver());
+  sat::Solver solver = MakeSolver();
   uint64_t count = 0;
   while (true) {
     const sat::SolveResult res = solver.Solve();
@@ -140,7 +132,7 @@ Result<uint64_t> FixpointAnalyzer::CountFixpoints(uint64_t limit) const {
 }
 
 Result<UniqueStatus> FixpointAnalyzer::UniqueFixpoint() const {
-  INFLOG_ASSIGN_OR_RETURN(sat::PortfolioSolver solver, MakeSolver());
+  sat::Solver solver = MakeSolver();
   sat::SolveResult res = solver.Solve();
   if (res == sat::SolveResult::kUnknown) {
     sat_stats_.Add(solver.stats());
@@ -167,7 +159,7 @@ Result<UniqueStatus> FixpointAnalyzer::UniqueFixpoint() const {
 
 Result<LeastFixpointOutcome> FixpointAnalyzer::LeastFixpoint() const {
   LeastFixpointOutcome out;
-  INFLOG_ASSIGN_OR_RETURN(sat::PortfolioSolver solver, MakeSolver());
+  sat::Solver solver = MakeSolver();
   sat::SolveResult res = solver.Solve();
   ++out.sat_calls;
   if (res == sat::SolveResult::kUnknown) {
@@ -184,8 +176,6 @@ Result<LeastFixpointOutcome> FixpointAnalyzer::LeastFixpoint() const {
   // a fixpoint missing part of C and intersect. When no such model exists,
   // C is exactly the intersection of all fixpoints. Each round either
   // terminates or strictly shrinks C, so at most |C₀|+1 SAT calls run.
-  // (Activation variables are created after the first Solve, so the
-  // preprocessor never sees — and cannot eliminate — them.)
   std::vector<bool> candidate = encoding_.DecodeAtoms(solver.Model());
   while (true) {
     sat::Clause ask;

@@ -33,7 +33,6 @@
 #include "src/fixpoint/completion.h"
 #include "src/ground/grounder.h"
 #include "src/relation/database.h"
-#include "src/sat/portfolio.h"
 #include "src/sat/solver.h"
 
 namespace inflog {
@@ -77,11 +76,10 @@ class FixpointAnalyzer {
   /// Some fixpoint, or nullopt when none exists.
   Result<std::optional<IdbState>> FindFixpoint() const;
 
-  /// Up to `limit` fixpoints (0 = all). The returned set is sorted
-  /// canonically (by ground-atom assignment), so a full enumeration is
-  /// identical across solver configurations (preprocessing, deletion,
-  /// portfolio width); with a nonzero `limit`, *which* fixpoints are found
-  /// first remains solver-dependent.
+  /// Up to `limit` fixpoints (0 = all), sorted canonically (by ground-atom
+  /// assignment). A capped enumeration returns the first `limit` models in
+  /// the solver's deterministic search order, sorted: the same (π, D),
+  /// options and `limit` always give the same list.
   Result<std::vector<IdbState>> EnumerateFixpoints(size_t limit = 0) const;
 
   /// Number of fixpoints, counted by enumeration up to `limit`
@@ -108,10 +106,8 @@ class FixpointAnalyzer {
                    AnalyzeOptions options)
       : program_(program), database_(database), options_(options) {}
 
-  /// Fresh portfolio pre-loaded with the completion; every completion atom
-  /// variable is frozen so blocking clauses and assumptions stay sound
-  /// under preprocessing.
-  Result<sat::PortfolioSolver> MakeSolver() const;
+  /// Fresh solver pre-loaded with the completion.
+  sat::Solver MakeSolver() const;
 
   /// Decodes + optionally verifies an atom assignment.
   Result<IdbState> DecodeModel(const std::vector<bool>& atoms) const;

@@ -3,36 +3,25 @@
 // Conflict-driven clause learning with two-literal watches over a
 // contiguous clause arena, first-UIP conflict analysis, LBD-scored
 // learnt-clause database reduction, VSIDS variable activities with phase
-// saving, Luby restarts, an optional preprocessing front-end (root BCP,
-// pure literals, NiVER bounded variable elimination) with model
-// reconstruction, incremental clause addition, and solving under
-// assumptions.
+// saving, Luby restarts, incremental clause addition, and solving under
+// assumptions. There is one configuration: the search is deterministic,
+// so the same clauses and Solve calls give the same models in the same
+// order.
 //
 // This is the NP engine behind the paper's Theorems 1–3: fixpoint
 // existence, uniqueness and least-fixpoint queries are all answered
 // through Clark-completion encodings solved here. It is also used as the
 // independent satisfiability oracle for the Example 1 reduction tests.
-//
-// Incremental use with preprocessing: the preprocessor runs once, at the
-// first Solve. Variables that later clauses or assumptions will mention
-// must be frozen (FreezeVar) before that first Solve — the analyzer
-// freezes every completion atom variable, which keeps blocking-clause
-// model enumeration exact (elimination computes the existential
-// projection onto the surviving variables, so the model set over frozen
-// variables is unchanged).
 
 #ifndef INFLOG_SAT_SOLVER_H_
 #define INFLOG_SAT_SOLVER_H_
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "src/base/rng.h"
 #include "src/sat/arena.h"
 #include "src/sat/cnf.h"
-#include "src/sat/preprocess.h"
 
 namespace inflog {
 namespace sat {
@@ -44,20 +33,10 @@ enum class SolveResult {
   kUnknown,  ///< Conflict budget exhausted or stop flag raised.
 };
 
-/// Tuning knobs and budgets.
+/// Budgets and learnt-clause database reduction.
 struct SolverOptions {
   /// Abort with kUnknown after this many conflicts (0 = unlimited).
   uint64_t max_conflicts = 0;
-  /// Luby restart unit (conflicts); 0 disables restarts.
-  uint64_t restart_base = 100;
-  /// VSIDS decay factor.
-  double activity_decay = 0.95;
-
-  /// Run the preprocessing front-end once, at the first Solve. Callers
-  /// that add clauses or assumptions over existing variables after that
-  /// must FreezeVar them first.
-  bool preprocess = false;
-  PreprocessOptions preprocess_options;
 
   /// LBD-scored learnt-clause database reduction (checked at restarts;
   /// glue <= 2 clauses and the better half by (LBD, activity) survive,
@@ -67,18 +46,6 @@ struct SolverOptions {
   uint64_t reduce_base = 0;
   /// Extra conflicts added to the gap after each reduction (default 300).
   uint64_t reduce_inc = 300;
-
-  /// Portfolio width used by PortfolioSolver (a plain Solver ignores it);
-  /// 1 = a single undiversified instance, deterministic by construction.
-  size_t portfolio_threads = 1;
-
-  /// Diversification (used by portfolio instances): 0 keeps the
-  /// deterministic base behavior; nonzero seeds random decisions.
-  uint64_t seed = 0;
-  /// Probability of a random branch decision (needs seed != 0).
-  double random_decision_freq = 0.0;
-  /// Initial saved phase for every variable (false = MiniSat default).
-  bool init_phase_true = false;
 
   /// Cooperative cancellation: when set and the pointee becomes true, the
   /// search returns kUnknown at the next conflict or decision.
@@ -94,8 +61,6 @@ struct SolverStats {
   uint64_t learned_clauses = 0;
   uint64_t deleted_clauses = 0;   ///< Learnt clauses dropped by ReduceDB.
   uint64_t db_reductions = 0;     ///< ReduceDB passes (each ends in a GC).
-  uint64_t preprocess_vars_eliminated = 0;
-  uint64_t preprocess_clauses_removed = 0;
 
   void Add(const SolverStats& o) {
     conflicts += o.conflicts;
@@ -105,8 +70,6 @@ struct SolverStats {
     learned_clauses += o.learned_clauses;
     deleted_clauses += o.deleted_clauses;
     db_reductions += o.db_reductions;
-    preprocess_vars_eliminated += o.preprocess_vars_eliminated;
-    preprocess_clauses_removed += o.preprocess_clauses_removed;
   }
 };
 
@@ -121,13 +84,8 @@ class Solver {
   /// Number of allocated variables.
   int32_t num_vars() const { return static_cast<int32_t>(assigns_.size()); }
 
-  /// Marks `v` as referenced by future clauses or assumptions: the
-  /// preprocessor will not eliminate it. Call before the first Solve.
-  void FreezeVar(Var v);
-
   /// Adds a clause (callable between Solve calls). Returns false when the
-  /// solver is already in an unsatisfiable root state. Must not mention
-  /// preprocessing-eliminated variables (freeze them instead).
+  /// solver is already in an unsatisfiable root state.
   bool AddClause(Clause clause);
 
   /// Loads every clause of `cnf` (allocating variables as needed).
@@ -137,7 +95,7 @@ class Solver {
   SolveResult Solve(const std::vector<Lit>& assumptions = {});
 
   /// Model access after kSat: the value of `v` in the satisfying
-  /// assignment (eliminated variables reconstructed).
+  /// assignment.
   bool ModelValue(Var v) const {
     INFLOG_CHECK(v >= 0 && static_cast<size_t>(v) < model_.size());
     return model_[v] == 1;
@@ -162,6 +120,10 @@ class Solver {
 
  private:
   static constexpr int8_t kUndef = -1;
+  /// Luby restart unit (conflicts).
+  static constexpr uint64_t kRestartBase = 100;
+  /// VSIDS decay factor.
+  static constexpr double kActivityDecay = 0.95;
 
   struct Watch {
     ClauseRef clause;
@@ -191,17 +153,14 @@ class Solver {
   void BumpVar(Var v);
   void BumpClause(ClauseRef cref);
   void DecayActivities() {
-    var_inc_ /= options_.activity_decay;
+    var_inc_ /= kActivityDecay;
     cla_inc_ *= 1.001f;
   }
   Lit PickBranchLit();
 
-  void RunPreprocess();
-  void RebuildFromClauses(const std::vector<Clause>& clauses);
   void ReduceDB();
   void RemoveRootSatisfied(std::vector<ClauseRef>* list);
   void GarbageCollect();
-  void ExtendModel();
   bool StopRequested() const {
     return options_.stop != nullptr &&
            options_.stop->load(std::memory_order_relaxed);
@@ -232,18 +191,13 @@ class Solver {
   std::vector<int8_t> phase_;                // by var (saved polarity)
   std::vector<char> seen_;                   // by var (analyze scratch)
   std::vector<int> lbd_seen_;                // by level (ComputeLbd scratch)
-  std::vector<int8_t> frozen_;               // by var
-  std::vector<int8_t> eliminated_;           // by var
   std::vector<Lit> trail_;
   std::vector<size_t> trail_lim_;
   size_t qhead_ = 0;
   double var_inc_ = 1.0;
   float cla_inc_ = 1.0f;
 
-  bool preprocessed_ = false;
-  std::unique_ptr<Preprocessor> preprocessor_;  // kept for Extend
   uint64_t reduce_conflicts_ = 0;  // conflicts at the last reduction
-  Rng rng_{0};
 
   std::vector<Var> heap_;
   std::vector<int32_t> heap_pos_;  // by var; -1 = not in heap

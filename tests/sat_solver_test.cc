@@ -6,7 +6,6 @@
 
 #include "src/base/rng.h"
 #include "src/sat/dimacs.h"
-#include "src/sat/portfolio.h"
 #include "src/sat/solver.h"
 
 namespace inflog {
@@ -143,6 +142,19 @@ bool BruteForceSat(const Cnf& cnf) {
   return false;
 }
 
+// Solves `cnf` and checks the verdict against brute force, and the model
+// against the clauses.
+void ExpectMatchesBruteForce(const Cnf& cnf) {
+  Solver s;
+  s.AddCnf(cnf);
+  const SolveResult result = s.Solve();
+  ASSERT_NE(result, SolveResult::kUnknown);
+  EXPECT_EQ(result == SolveResult::kSat, BruteForceSat(cnf));
+  if (result == SolveResult::kSat) {
+    EXPECT_TRUE(cnf.IsSatisfiedBy(s.Model()));
+  }
+}
+
 class Random3SatTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(Random3SatTest, MatchesBruteForce) {
@@ -151,19 +163,23 @@ TEST_P(Random3SatTest, MatchesBruteForce) {
   // Sweep clause/variable ratios through the phase transition (~4.26).
   const int n = 8 + static_cast<int>(rng.Uniform(5));
   const int m = static_cast<int>(n * (2.0 + (seed % 6)));
-  Cnf cnf = Random3Sat(n, m, &rng);
-  Solver s;
-  s.AddCnf(cnf);
-  const SolveResult result = s.Solve();
-  ASSERT_NE(result, SolveResult::kUnknown);
-  EXPECT_EQ(result == SolveResult::kSat, BruteForceSat(cnf))
-      << "n=" << n << " m=" << m;
-  if (result == SolveResult::kSat) {
-    EXPECT_TRUE(cnf.IsSatisfiedBy(s.Model()));
-  }
+  SCOPED_TRACE(::testing::Message() << "n=" << n << " m=" << m);
+  ExpectMatchesBruteForce(Random3Sat(n, m, &rng));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Random3SatTest, ::testing::Range(0, 30));
+
+// The same differential at volume: 500 smaller instances (6..14 vars)
+// across five clause/variable ratios.
+TEST(Random3SatDifferentialTest, MatchesBruteForceAcross500Instances) {
+  for (int seed = 0; seed < 500; ++seed) {
+    Rng rng(seed * 104729 + 7);
+    const int n = 6 + static_cast<int>(rng.Uniform(9));
+    const int m = static_cast<int>(n * (2.0 + (seed % 5)));
+    SCOPED_TRACE(::testing::Message() << "seed=" << seed);
+    ExpectMatchesBruteForce(Random3Sat(n, m, &rng));
+  }
+}
 
 // --- Assumptions and incrementality. ---
 
@@ -250,125 +266,6 @@ TEST(SolverTest, StatsAccumulate) {
   EXPECT_GT(s.stats().propagations, 0u);
 }
 
-// --- Preprocessing front-end. ---
-
-TEST(PreprocessTest, PureLiteralsLeaveSatisfiableResidue) {
-  SolverOptions opts;
-  opts.preprocess = true;
-  Solver s(opts);
-  Cnf cnf;
-  const Var x = cnf.NewVar(), y = cnf.NewVar(), z = cnf.NewVar();
-  cnf.AddClause({Pos(x), Pos(y)});
-  cnf.AddClause({Pos(x), Neg(z)});
-  s.AddCnf(cnf);
-  ASSERT_EQ(s.Solve(), SolveResult::kSat);
-  // The reconstructed model must satisfy the ORIGINAL clauses even though
-  // x is pure (and y, z may be eliminated too).
-  EXPECT_TRUE(cnf.IsSatisfiedBy(s.Model()));
-}
-
-TEST(PreprocessTest, BveReconstructsEliminatedVariables) {
-  SolverOptions opts;
-  opts.preprocess = true;
-  Solver s(opts);
-  Cnf cnf;
-  // x occurs once per polarity: NiVER resolves it away, replacing
-  // (x ∨ a)(¬x ∨ b) with (a ∨ b). The model must still assign x a value
-  // satisfying both original clauses.
-  const Var x = cnf.NewVar(), a = cnf.NewVar(), b = cnf.NewVar();
-  cnf.AddClause({Pos(x), Pos(a)});
-  cnf.AddClause({Neg(x), Pos(b)});
-  cnf.AddClause({Neg(a), Pos(b)});
-  cnf.AddClause({Pos(a), Neg(b)});
-  s.AddCnf(cnf);
-  ASSERT_EQ(s.Solve(), SolveResult::kSat);
-  EXPECT_TRUE(cnf.IsSatisfiedBy(s.Model()));
-}
-
-TEST(PreprocessTest, DetectsRootUnsat) {
-  SolverOptions opts;
-  opts.preprocess = true;
-  Solver s(opts);
-  const Var x = s.NewVar(), y = s.NewVar();
-  s.AddClause({Pos(x), Pos(y)});
-  s.AddClause({Pos(x), Neg(y)});
-  s.AddClause({Neg(x), Pos(y)});
-  s.AddClause({Neg(x), Neg(y)});
-  EXPECT_EQ(s.Solve(), SolveResult::kUnsat);
-}
-
-TEST(PreprocessTest, FrozenVariablesStayAssumable) {
-  SolverOptions opts;
-  opts.preprocess = true;
-  Solver s(opts);
-  const Var x = s.NewVar(), y = s.NewVar();
-  s.AddClause({Pos(x), Pos(y)});
-  s.FreezeVar(x);
-  s.FreezeVar(y);
-  ASSERT_EQ(s.Solve({Neg(x)}), SolveResult::kSat);
-  EXPECT_TRUE(s.ModelValue(y));
-  ASSERT_EQ(s.Solve({Neg(x), Neg(y)}), SolveResult::kUnsat);
-  // Incremental clause addition over frozen vars after preprocessing.
-  ASSERT_TRUE(s.AddClause({Neg(x)}));
-  ASSERT_EQ(s.Solve(), SolveResult::kSat);
-  EXPECT_TRUE(s.ModelValue(y));
-}
-
-TEST(PreprocessTest, ReportsEliminationStats) {
-  SolverOptions opts;
-  opts.preprocess = true;
-  Solver s(opts);
-  // A unit chain: root BCP forces everything, removing every clause.
-  std::vector<Var> v;
-  for (int i = 0; i < 10; ++i) v.push_back(s.NewVar());
-  s.AddClause({Pos(v[0])});
-  for (int i = 0; i + 1 < 10; ++i) s.AddClause({Neg(v[i]), Pos(v[i + 1])});
-  ASSERT_EQ(s.Solve(), SolveResult::kSat);
-  EXPECT_GT(s.stats().preprocess_clauses_removed, 0u);
-  for (int i = 0; i < 10; ++i) EXPECT_TRUE(s.ModelValue(v[i]));
-}
-
-// --- Differential: the modern configurations must agree with the raw
-// solver on hundreds of random instances, and every model must satisfy
-// the ORIGINAL clauses (exercising reconstruction end to end). ---
-
-TEST(PreprocessDifferentialTest, AgreesWithRawSolverAcross500Instances) {
-  for (int seed = 0; seed < 500; ++seed) {
-    Rng rng(seed * 104729 + 7);
-    const int n = 6 + static_cast<int>(rng.Uniform(9));  // 6..14 vars
-    const int m = static_cast<int>(n * (2.0 + (seed % 5)));
-    Cnf cnf = Random3Sat(n, m, &rng);
-
-    Solver raw;
-    raw.AddCnf(cnf);
-    const SolveResult expected = raw.Solve();
-    ASSERT_NE(expected, SolveResult::kUnknown) << "seed=" << seed;
-
-    SolverOptions pre_opts;
-    pre_opts.preprocess = true;
-    Solver pre(pre_opts);
-    pre.AddCnf(cnf);
-    ASSERT_EQ(pre.Solve(), expected) << "seed=" << seed;
-    if (expected == SolveResult::kSat) {
-      EXPECT_TRUE(cnf.IsSatisfiedBy(pre.Model())) << "seed=" << seed;
-    }
-
-    // Every tenth instance also races a preprocessed portfolio, keeping
-    // the thread churn bounded.
-    if (seed % 10 == 0) {
-      SolverOptions port_opts;
-      port_opts.preprocess = true;
-      port_opts.portfolio_threads = 3;
-      PortfolioSolver port(port_opts);
-      port.AddCnf(cnf);
-      ASSERT_EQ(port.Solve(), expected) << "seed=" << seed;
-      if (expected == SolveResult::kSat) {
-        EXPECT_TRUE(cnf.IsSatisfiedBy(port.Model())) << "seed=" << seed;
-      }
-    }
-  }
-}
-
 // --- Learnt-clause deletion and arena garbage collection. ---
 
 TEST(ReduceDbTest, DeletesLearntsAndKeepsVerdict) {
@@ -440,74 +337,6 @@ TEST(ReduceDbTest, SolverStaysUsableAfterReduction) {
   }
   EXPECT_GT(models, 0);
   EXPECT_LT(models, 2000);  // enumeration terminated
-}
-
-// --- Portfolio. ---
-
-TEST(PortfolioTest, WidthOneReproducesPlainSolver) {
-  Solver plain;
-  plain.AddCnf(Pigeonhole(5));
-  SolverOptions popts;
-  popts.portfolio_threads = 1;
-  PortfolioSolver port(popts);
-  port.AddCnf(Pigeonhole(5));
-  ASSERT_EQ(plain.Solve(), SolveResult::kUnsat);
-  ASSERT_EQ(port.Solve(), SolveResult::kUnsat);
-  // Bit-identical search, not just the same verdict.
-  EXPECT_EQ(port.stats().conflicts, plain.stats().conflicts);
-  EXPECT_EQ(port.stats().decisions, plain.stats().decisions);
-  EXPECT_EQ(port.stats().propagations, plain.stats().propagations);
-}
-
-TEST(PortfolioTest, RacedMembersAgreeOnVerdict) {
-  for (int seed = 0; seed < 20; ++seed) {
-    Rng rng(seed * 31337 + 5);
-    Cnf cnf = Random3Sat(10, 10 * (3 + seed % 3), &rng);
-    Solver single;
-    single.AddCnf(cnf);
-    const SolveResult expected = single.Solve();
-    SolverOptions popts;
-    popts.portfolio_threads = 4;
-    PortfolioSolver port(popts);
-    port.AddCnf(cnf);
-    ASSERT_EQ(port.Solve(), expected) << "seed=" << seed;
-    if (expected == SolveResult::kSat) {
-      EXPECT_TRUE(cnf.IsSatisfiedBy(port.Model())) << "seed=" << seed;
-    }
-  }
-}
-
-TEST(PortfolioTest, SupportsAssumptionsAndIncrementalClauses) {
-  SolverOptions popts;
-  popts.portfolio_threads = 2;
-  PortfolioSolver s(popts);
-  const Var x = s.NewVar(), y = s.NewVar();
-  ASSERT_TRUE(s.AddClause({Pos(x), Pos(y)}));
-  ASSERT_EQ(s.Solve({Neg(x)}), SolveResult::kSat);
-  EXPECT_TRUE(s.ModelValue(y));
-  ASSERT_EQ(s.Solve({Neg(x), Neg(y)}), SolveResult::kUnsat);
-  ASSERT_EQ(s.Solve(), SolveResult::kSat);
-  ASSERT_TRUE(s.AddClause({Neg(x)}));
-  ASSERT_EQ(s.Solve(), SolveResult::kSat);
-  EXPECT_TRUE(s.ModelValue(y));
-}
-
-TEST(PortfolioTest, ModelEnumerationWithBlockingClauses) {
-  SolverOptions popts;
-  popts.portfolio_threads = 2;
-  PortfolioSolver s(popts);
-  const Var x = s.NewVar(), y = s.NewVar(), z = s.NewVar();
-  s.AddClause({Pos(x), Pos(y)});
-  int models = 0;
-  while (s.Solve() == SolveResult::kSat && models < 100) {
-    ++models;
-    Clause block;
-    for (Var v : {x, y, z}) {
-      block.push_back(s.ModelValue(v) ? Neg(v) : Pos(v));
-    }
-    if (!s.AddClause(block)) break;
-  }
-  EXPECT_EQ(models, 6);
 }
 
 // --- DIMACS. ---
