@@ -7,18 +7,13 @@
 //     heuristic, body-order tie-break) scans the big relation first and
 //     probes the selective one, while the cost-based order scans the
 //     few-row relation and probes the big one — the join-reordering win.
-//   * SharedPrefix: two rules opening with the same expensive join
-//     prefix; subplan sharing computes it once per stage instead of once
-//     per rule.
 //   * DeadRuleQuery: a cheap queried predicate next to an expensive
 //     unqueried transitive closure; with output_predicates declared,
 //     dead-rule elimination skips the closure entirely.
 // Shape expected: the all/none ratio grows with the big relation for
-// reorder (O(k) probes vs O(N) scans per stage), sits between 1.3x and
-// the 2x ceiling on the shared prefix (the prefix is the bulk but not
-// all of each rule's work), and tracks the dropped closure's cost for
-// DCE. The
-// opt_* counters on each series certify which pass fired.
+// reorder (O(k) probes vs O(N) scans per stage) and tracks the dropped
+// closure's cost for DCE. The opt_* counters on each series certify
+// which pass fired.
 
 #include <benchmark/benchmark.h>
 
@@ -111,70 +106,7 @@ void BM_GoalDirectedReorderAll(benchmark::State& state) {
 BENCHMARK(BM_GoalDirectedReorderAll)->Arg(1 << 12)->Arg(1 << 14)->Arg(1 << 16)
     ->Unit(benchmark::kMillisecond);
 
-// --- Series 2: common-subplan sharing. ---
-//
-// Both rules open with the same R join S prefix: n probes of the tiny S
-// relation producing a handful of rows, so the prefix is expensive to
-// compute and cheap to rescan. Sharing computes it once per stage and
-// both rules scan the cached intermediate — the n probes are paid once
-// instead of once per rule.
-constexpr char kSharedPrefix[] =
-    "A(X,Z) :- R(X,Y), S(Y,Z).\n"
-    "B(X,W) :- R(X,Y), S(Y,Z), T(Z,W).\n";
-
-void RunSharedPrefix(benchmark::State& state, const OptimizerPasses& passes) {
-  const size_t n = state.range(0);
-  auto symbols = std::make_shared<SymbolTable>();
-  Program p = bench::MustProgram(kSharedPrefix, symbols);
-  Database db(symbols);
-  auto sym = [](size_t i) { return std::to_string(i); };
-  // R's join column is distinct per row while S holds 16 rows, so the
-  // shared prefix costs n probes to yield 16 rows.
-  for (size_t i = 0; i < n; ++i) {
-    INFLOG_CHECK(db.AddFactNamed("R", {sym(i), sym(i)}).ok());
-  }
-  for (size_t i = 0; i < 16; ++i) {
-    INFLOG_CHECK(db.AddFactNamed("S", {sym(i), sym(i + 1)}).ok());
-    INFLOG_CHECK(db.AddFactNamed("T", {sym(i + 1), sym(i)}).ok());
-  }
-
-  InflationaryOptions baseline_opts;
-  baseline_opts.context.optimizer_passes = OptimizerPasses::None();
-  auto baseline = EvalInflationary(p, db, baseline_opts);
-  INFLOG_CHECK(baseline.ok());
-
-  InflationaryOptions options;
-  options.context.optimizer_passes = passes;
-  double shared = 0, shared_rows = 0;
-  for (auto _ : state) {
-    auto result = EvalInflationary(p, db, options);
-    INFLOG_CHECK(result.ok());
-    CheckSameSets(baseline->state, result->state);
-    shared = static_cast<double>(result->stats.opt_subplans_shared);
-    shared_rows = static_cast<double>(result->stats.opt_shared_rows);
-  }
-  state.counters["rel_rows"] = static_cast<double>(n);
-  state.counters["subplans_shared"] = shared;
-  state.counters["shared_rows"] = shared_rows;
-}
-
-void BM_SharedPrefixNone(benchmark::State& state) {
-  RunSharedPrefix(state, OptimizerPasses::None());
-}
-BENCHMARK(BM_SharedPrefixNone)->Arg(1 << 10)->Arg(1 << 12)->Arg(1 << 14)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_SharedPrefixAll(benchmark::State& state) {
-  // Reordering is disabled on this pair so both members keep the
-  // identical greedy prefix — the sharing win in isolation.
-  auto passes = OptimizerPasses::None();
-  passes.share_subplans = true;
-  RunSharedPrefix(state, passes);
-}
-BENCHMARK(BM_SharedPrefixAll)->Arg(1 << 10)->Arg(1 << 12)->Arg(1 << 14)
-    ->Unit(benchmark::kMillisecond);
-
-// --- Series 3: dead-rule elimination under a declared query. ---
+// --- Series 2: dead-rule elimination under a declared query. ---
 //
 // Q reaches a handful of vertices from the source; Waste is the full
 // transitive closure of the same graph. Both runs declare

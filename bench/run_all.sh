@@ -127,18 +127,17 @@ esac
 # The optimizer pass selection ("all", "none", or a comma list of pass
 # tokens — mirrors the library's --optimize flag). The token set comes
 # from the built CLI so it tracks the library: `--list-optimize-passes`
-# prints one token per line (dce, reorder, share, magic, inline today).
+# prints one token per line. Without a built CLI there is nothing to
+# validate against, so the run fails.
 optimize="${INFLOG_OPTIMIZE:-all}"
 case "$optimize" in
   all|none) ;;
   *)
-    if [ -x "$build_dir/inflog_cli" ] &&
-        pass_tokens="$("$build_dir/inflog_cli" --list-optimize-passes)"; then
-      :
-    else
-      echo "warning: $build_dir/inflog_cli --list-optimize-passes" \
-        "unavailable; falling back to the built-in token list" >&2
-      pass_tokens=$'dce\nreorder\nshare\nmagic\ninline'
+    if ! [ -x "$build_dir/inflog_cli" ] ||
+        ! pass_tokens="$("$build_dir/inflog_cli" --list-optimize-passes)"; then
+      echo "error: $build_dir/inflog_cli --list-optimize-passes" \
+        "unavailable (build the project first)" >&2
+      exit 1
     fi
     IFS=',' read -ra opt_parts <<<"$optimize"
     for part in "${opt_parts[@]}"; do

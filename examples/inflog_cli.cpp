@@ -28,7 +28,7 @@
 // --optimize=LIST selects the optimizer passes for the relational
 // pipelines (inflationary, stratified): "all" (the default), "none"
 // (today's greedy plans exactly), or a comma list of dce, reorder,
-// share, magic, inline (--list-optimize-passes prints the tokens, one
+// magic, inline (--list-optimize-passes prints the tokens, one
 // per line, and exits — scripts validate against it instead of
 // hardcoding). Results on the queried predicates are identical for
 // every selection. --query=NAMES (a comma list of IDB predicates)
@@ -328,8 +328,8 @@ int main(int argc, char** argv) {
   if (args.size() < 2) {
     std::cerr << "usage: " << argv[0]
               << " [--threads=N] [--shards=S] [--min-slice-rows=R] "
-                 "[--optimize=all|none|dce,reorder,"
-                 "share,magic,inline] [--list-optimize-passes] "
+                 "[--optimize=all|none|dce,reorder,magic,inline] "
+                 "[--list-optimize-passes] "
                  "[--query=NAMES] [--reject-unsafe-negation] "
                  "[--stats] [--dump-cnf=FILE] [--apply-updates=FILE] "
                  "[--verify-incremental] [--serve] [--serve-threads=N] "
@@ -650,12 +650,6 @@ int main(int argc, char** argv) {
                   << "  opt_rules_eliminated " << s->opt_rules_eliminated
                   << "\n"
                   << "  opt_plans_reordered  " << s->opt_plans_reordered
-                  << "\n"
-                  << "  opt_subplans_shared  " << s->opt_subplans_shared
-                  << "\n"
-                  << "  opt_shared_prefixes  " << s->opt_shared_prefixes
-                  << "\n"
-                  << "  opt_shared_rows      " << s->opt_shared_rows
                   << "\n"
                   << "  opt_magic_rules_generated " << s->opt_magic_rules_generated
                   << "\n"

@@ -72,7 +72,7 @@ struct EvalContextOptions {
   /// reading, where every free variable ranges over the universe.
   bool reject_unsafe_negation = false;
   /// Which plan-optimizer passes run between rule lowering and fixpoint
-  /// dispatch (src/opt/pass_manager.h). OptimizerPasses::None()
+  /// dispatch (src/opt/stage_plans.h). OptimizerPasses::None()
   /// reproduces the greedy plans exactly; every selection yields the same
   /// relations, stage count, stage sizes, and tuple stages.
   OptimizerPasses optimizer_passes;

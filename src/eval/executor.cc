@@ -15,20 +15,17 @@ class Interpreter {
  public:
   Interpreter(const EvalContext& ctx, const RulePlan& plan,
               const IdbState& state, const DeltaRanges* deltas,
-              Relation* out, TupleCountMap* counts, EvalStats* stats,
-              const std::vector<Relation>* shared)
+              Relation* out, TupleCountMap* counts, EvalStats* stats)
       : ctx_(ctx),
         plan_(plan),
         rule_(ctx.program().rules()[plan.rule_index]),
-        head_(plan.has_projection ? plan.projection : rule_.head.args),
         state_(state),
         deltas_(deltas),
-        shared_(shared),
         out_(out),
         counts_(counts),
         stats_(stats) {
     bindings_.assign(rule_.num_vars, kNoValue);
-    head_tuple_.resize(head_.size());
+    head_tuple_.resize(rule_.head.args.size());
     // One scratch slot per op depth: a kMatch at depth d recurses only
     // into depths > d, so slot d is never reused while a row of d is
     // being expanded — the buffers live for the whole run instead of
@@ -119,13 +116,7 @@ class Interpreter {
   }
 
   void StepMatch(const PlanOp& op, size_t op_index) {
-    INFLOG_DCHECK(op.shared_source < 0 ||
-                  (shared_ != nullptr &&
-                   static_cast<size_t>(op.shared_source) < shared_->size()))
-        << "shared-scan op without its intermediate";
-    const Relation& rel = op.shared_source >= 0
-                              ? (*shared_)[op.shared_source]
-                              : ctx_.Resolve(op.predicate, state_);
+    const Relation& rel = ctx_.Resolve(op.predicate, state_);
     const size_t num_shards = rel.num_shards();
     MatchScratch& scratch = match_scratch_[op_index];
     std::vector<uint32_t>& trail = scratch.trail;
@@ -227,8 +218,9 @@ class Interpreter {
 
   void Emit() {
     ++stats_->derivations;
-    for (size_t i = 0; i < head_.size(); ++i) {
-      head_tuple_[i] = TermValue(head_[i]);
+    const std::vector<Term>& head = rule_.head.args;
+    for (size_t i = 0; i < head.size(); ++i) {
+      head_tuple_[i] = TermValue(head[i]);
     }
     if (counts_ != nullptr) {
       // Counting mode keeps every derivation (multiplicity), not the set:
@@ -242,12 +234,8 @@ class Interpreter {
   const EvalContext& ctx_;
   const RulePlan& plan_;
   const Rule& rule_;
-  /// Terms emitted per derivation: the rule head, or the plan's
-  /// projection when it stages a shared intermediate.
-  const std::vector<Term>& head_;
   const IdbState& state_;
   const DeltaRanges* deltas_;
-  const std::vector<Relation>* shared_;
   Relation* out_;
   TupleCountMap* counts_;
   EvalStats* stats_;
@@ -269,19 +257,14 @@ class Interpreter {
 
 void ExecutePlan(const EvalContext& ctx, const RulePlan& plan,
                  const IdbState& state, const DeltaRanges* deltas,
-                 Relation* out, EvalStats* stats,
-                 const std::vector<Relation>* shared) {
-  Interpreter(ctx, plan, state, deltas, out, /*counts=*/nullptr, stats,
-              shared)
-      .Run();
+                 Relation* out, EvalStats* stats) {
+  Interpreter(ctx, plan, state, deltas, out, /*counts=*/nullptr, stats).Run();
 }
 
 void ExecutePlanCounted(const EvalContext& ctx, const RulePlan& plan,
                         const IdbState& state, const DeltaRanges* deltas,
-                        TupleCountMap* out, EvalStats* stats,
-                        const std::vector<Relation>* shared) {
-  Interpreter(ctx, plan, state, deltas, /*out=*/nullptr, out, stats, shared)
-      .Run();
+                        TupleCountMap* out, EvalStats* stats) {
+  Interpreter(ctx, plan, state, deltas, /*out=*/nullptr, out, stats).Run();
 }
 
 }  // namespace inflog

@@ -37,7 +37,7 @@ struct EvalStats {
                                 ///< tasks excluded).
   uint64_t batched_plans = 0;   ///< Tiny delta plans that shared a stage
                                 ///< task with at least one other plan.
-  // Optimizer pipeline counters (src/opt/pass_manager.h), filled once at
+  // Optimizer plan-pass counters (src/opt/stage_plans.h), filled once at
   // plan-compile time. Pure functions of the program, the EDB contents,
   // and the pass selection — invariant across the {threads × shards}
   // sweep at a fixed pass selection.
@@ -45,12 +45,10 @@ struct EvalStats {
                                       ///< elimination.
   uint64_t opt_plans_reordered = 0;   ///< Plans whose join order the
                                       ///< cost-based pass changed.
-  uint64_t opt_subplans_shared = 0;   ///< Plans rewritten to read a shared
-                                      ///< intermediate.
-  uint64_t opt_shared_prefixes = 0;   ///< Distinct shared intermediates
-                                      ///< materialized per stage.
-  uint64_t opt_shared_rows = 0;       ///< Rows inserted into shared
-                                      ///< intermediates across all stages.
+  uint64_t opt_subplans_shared = 0;   ///< Always 0: no pass shares
+                                      ///< subplans.
+  uint64_t opt_shared_rows = 0;       ///< Always 0: no pass materializes
+                                      ///< shared intermediates.
   // Program-rewrite counters (src/opt/program_rewrite.h), filled by the
   // evaluators when declared outputs make the magic-sets / inlining
   // rewrites active. Pure functions of the program, the outputs, and
@@ -145,7 +143,6 @@ struct EvalStats {
     opt_rules_eliminated += other.opt_rules_eliminated;
     opt_plans_reordered += other.opt_plans_reordered;
     opt_subplans_shared += other.opt_subplans_shared;
-    opt_shared_prefixes += other.opt_shared_prefixes;
     opt_shared_rows += other.opt_shared_rows;
     opt_magic_rules_generated += other.opt_magic_rules_generated;
     opt_rules_inlined += other.opt_rules_inlined;
@@ -192,15 +189,11 @@ using ShardRange = std::pair<size_t, size_t>;
 using DeltaRanges = std::vector<std::vector<ShardRange>>;
 
 /// Executes `plan` reading predicate values through `ctx`/`state`, inserting
-/// derived head tuples into `out` (which must have the head's arity — or
-/// the projection arity when `plan.has_projection`). `deltas` may be null
-/// when the plan has no delta literal. `shared` holds the stage's shared
-/// intermediates, indexed by PlanOp::shared_source; may be null when the
-/// plan has no shared-scan ops.
+/// derived head tuples into `out` (which must have the head's arity).
+/// `deltas` may be null when the plan has no delta literal.
 void ExecutePlan(const EvalContext& ctx, const RulePlan& plan,
                  const IdbState& state, const DeltaRanges* deltas,
-                 Relation* out, EvalStats* stats,
-                 const std::vector<Relation>* shared = nullptr);
+                 Relation* out, EvalStats* stats);
 
 /// ExecutePlan variant that keeps derivation *multiplicities* instead of
 /// the derived set: each emitted head tuple increments its entry in `out`.
@@ -209,8 +202,7 @@ void ExecutePlan(const EvalContext& ctx, const RulePlan& plan,
 /// which plain ExecutePlan's set insertion collapses).
 void ExecutePlanCounted(const EvalContext& ctx, const RulePlan& plan,
                         const IdbState& state, const DeltaRanges* deltas,
-                        TupleCountMap* out, EvalStats* stats,
-                        const std::vector<Relation>* shared = nullptr);
+                        TupleCountMap* out, EvalStats* stats);
 
 }  // namespace inflog
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "src/base/logging.h"
-#include "src/opt/pass_manager.h"
+#include "src/opt/stage_plans.h"
 
 namespace inflog {
 
@@ -87,8 +87,8 @@ RelationalConsequence::RelationalConsequence(const EvalContext& ctx,
   const size_t num_idb = program.idb_predicates().size();
   INFLOG_CHECK(state->relations.size() == num_idb);
 
-  // Lower the rules through the optimizer pass pipeline (greedy plans,
-  // then the passes ctx.optimizer_passes() enables). The counters are
+  // Lower the rules (greedy plans, then the plan passes
+  // ctx.optimizer_passes() enables). The counters are
   // pure functions of (program, database, pass selection), so copying
   // them into the determinism-checked stats block is sweep-safe.
   OptCounters counters;
@@ -96,8 +96,6 @@ RelationalConsequence::RelationalConsequence(const EvalContext& ctx,
                              &counters);
   stats_.opt_rules_eliminated = counters.rules_eliminated;
   stats_.opt_plans_reordered = counters.plans_reordered;
-  stats_.opt_subplans_shared = counters.subplans_shared;
-  stats_.opt_shared_prefixes = counters.shared_prefixes;
 
   // All dynamic relations must agree on one shard count so staging
   // relations and the state partition every tuple set identically.
@@ -105,10 +103,6 @@ RelationalConsequence::RelationalConsequence(const EvalContext& ctx,
   for (const Relation& rel : state->relations) {
     INFLOG_CHECK(rel.num_shards() == num_shards_)
         << "IDB relations must share one shard count";
-  }
-  shared_rels_.reserve(plans_.shared.size());
-  for (const SharedSubplan& sp : plans_.shared) {
-    shared_rels_.emplace_back(sp.arity, num_shards_);
   }
   if (options.initial_deltas != nullptr && use_deltas_) {
     // Seeded run: stage 0 is a delta pass over the caller's appended row
@@ -127,87 +121,18 @@ RelationalConsequence::RelationalConsequence(const EvalContext& ctx,
   stage_shard_sizes_.resize(num_idb);
 }
 
-void RelationalConsequence::ComputeSharedIntermediates(bool full_pass) {
-  // Subplans of the other pass kind keep last stage's contents; only the
-  // matching ones are rebuilt this stage.
-  std::vector<size_t> pending;
-  for (size_t k = 0; k < plans_.shared.size(); ++k) {
-    if (plans_.shared[k].delta_pass != full_pass) pending.push_back(k);
-  }
-  if (pending.empty()) return;
-
-  auto run_one = [&](size_t k, EvalStats* stats) {
-    const SharedSubplan& sp = plans_.shared[k];
-    shared_rels_[k] = Relation(sp.arity, num_shards_);
-    ExecutePlan(ctx_, sp.plan, *state_,
-                sp.delta_pass ? &delta_ranges_ : nullptr, &shared_rels_[k],
-                stats);
-  };
-
-  // Each subplan writes only its own shared_rels_ slot, so with several
-  // pending the rebuilds fan out one task apiece. The estimate mirrors
-  // RunStageParallel's: input rows the plans will touch, a deterministic
-  // proxy independent of threads and shards, so the serial-vs-parallel
-  // choice is a pure function of the stage.
-  size_t work = 0;
-  if (num_threads_ > 1 && pending.size() >= 2) {
-    for (size_t k : pending) {
-      const SharedSubplan& sp = plans_.shared[k];
-      for (const PlanOp& op : sp.plan.ops) {
-        if (op.kind != PlanOp::Kind::kMatch || op.shared_source >= 0) {
-          continue;
-        }
-        if (op.is_delta_scan) {
-          const PredicateInfo& info = ctx_.program().predicate(op.predicate);
-          for (const auto& [begin, end] : delta_ranges_[info.idb_index]) {
-            work += end - begin;
-          }
-        } else {
-          work += ctx_.Resolve(op.predicate, *state_).size();
-        }
-      }
-    }
-  }
-  if (num_threads_ <= 1 || pending.size() < 2 || work < min_slice_rows_) {
-    for (size_t k : pending) {
-      run_one(k, &stats_);
-      stats_.opt_shared_rows += shared_rels_[k].size();
-    }
-    return;
-  }
-  if (*pool_slot_ == nullptr) {
-    *pool_slot_ = std::make_unique<ThreadPool>(num_threads_ - 1);
-  }
-  // Workers read the frozen state concurrently: finalize the column
-  // indexes the subplans probe before the fan-out, as RunStageParallel
-  // does for the rule plans.
-  if (ctx_.use_join_indexes()) {
-    for (size_t k : pending) FinalizePlanIndexes(plans_.shared[k].plan);
-  }
-  std::vector<EvalStats> task_stats(pending.size());
-  (*pool_slot_)->ParallelFor(pending.size(), [&](size_t i) {
-    run_one(pending[i], &task_stats[i]);
-  });
-  // Fold in subplan index order — the serial accumulation order — so the
-  // stats block is bit-identical to the serial rebuild.
-  for (size_t i = 0; i < pending.size(); ++i) {
-    stats_.Add(task_stats[i]);
-    stats_.opt_shared_rows += shared_rels_[pending[i]].size();
-  }
-}
-
 void RelationalConsequence::RunStageSerial(bool full_pass,
                                            std::vector<Relation>* buffers) {
   if (full_pass) {
     for (const CompiledRulePlans& c : plans_.rules) {
       ExecutePlan(ctx_, c.full, *state_, nullptr, &(*buffers)[c.head_idb],
-                  &stats_, &shared_rels_);
+                  &stats_);
     }
   } else {
     for (const CompiledRulePlans& c : plans_.rules) {
       for (const CompiledDeltaPlan& d : c.deltas) {
         ExecutePlan(ctx_, d.plan, *state_, &delta_ranges_,
-                    &(*buffers)[c.head_idb], &stats_, &shared_rels_);
+                    &(*buffers)[c.head_idb], &stats_);
       }
     }
   }
@@ -246,9 +171,7 @@ void RelationalConsequence::RunStageParallel(bool full_pass,
     for (const CompiledRulePlans& c : plans_.rules) {
       for (const PlanOp& op : c.full.ops) {
         if (op.kind == PlanOp::Kind::kMatch) {
-          work += op.shared_source >= 0
-                      ? shared_rels_[op.shared_source].size()
-                      : ctx_.Resolve(op.predicate, *state_).size();
+          work += ctx_.Resolve(op.predicate, *state_).size();
         }
       }
     }
@@ -408,7 +331,7 @@ void RelationalConsequence::RunStageStatic(
         size_t slot = 0;
         while (t.batch->heads[slot] != e.head_idb) ++slot;
         ExecutePlan(ctx_, *e.plan, *state_, &delta_ranges_, &outs[i][slot],
-                    &task_stats[i][slot], &shared_rels_);
+                    &task_stats[i][slot]);
       }
       return;
     }
@@ -417,7 +340,7 @@ void RelationalConsequence::RunStageStatic(
                   : (t.sliced >= 0 ? &sliced_ranges[t.sliced]
                                    : &delta_ranges_);
     ExecutePlan(ctx_, *t.plan, *state_, deltas, &outs[i][0],
-                &task_stats[i][0], &shared_rels_);
+                &task_stats[i][0]);
   });
 
   // Fold the per-task stagings in task order — the serial execution
@@ -518,11 +441,6 @@ size_t RelationalConsequence::Step(size_t stage) {
   }
 
   const bool full_pass = (stage == 0 && !seeded_) || !use_deltas_;
-  // Shared intermediates (subplan sharing) are rebuilt before the stage
-  // fans out — one task per pending subplan when the work clears the
-  // serial cutoff — so every consumer, on any thread, reads the same
-  // finalized relation.
-  ComputeSharedIntermediates(full_pass);
   if (num_threads_ <= 1) {
     RunStageSerial(full_pass, &buffers);
   } else {

@@ -36,7 +36,7 @@
 #include "src/eval/context.h"
 #include "src/eval/executor.h"
 #include "src/ground/ground_program.h"
-#include "src/opt/plan_ir.h"
+#include "src/opt/stage_plans.h"
 
 namespace inflog {
 
@@ -123,8 +123,8 @@ class RelationalConsequence {
     const DeltaRanges* initial_deltas = nullptr;
   };
 
-  /// Compiles the rule plans through the optimizer pass pipeline selected
-  /// by ctx.optimizer_passes() (src/opt/pass_manager.h). Rules whose head
+  /// Compiles the rule plans with the plan passes selected by
+  /// ctx.optimizer_passes() (src/opt/stage_plans.h). Rules whose head
   /// predicate is not dynamic in `ctx` must not be part of the subset.
   /// `ctx` and `state` must outlive the operator.
   RelationalConsequence(const EvalContext& ctx, const Options& options,
@@ -233,29 +233,14 @@ class RelationalConsequence {
   /// date (Relation::EnsureIndexed).
   void FinalizePlanIndexes(const RulePlan& plan) const;
 
-  /// Recomputes the stage's shared intermediates (subplan sharing): runs
-  /// every SharedSubplan of the pass kind into a fresh shared_rels_ slot
-  /// before the stage fans out. Subplans write disjoint outputs, so when
-  /// several are pending (and the estimated work clears the serial
-  /// cutoff) they run as one ParallelFor task each — after finalizing the
-  /// indexes their plans probe — with per-task stats folded in subplan
-  /// index order. Each slot's contents are produced by exactly one task
-  /// executing the same plan over the same frozen state as the serial
-  /// path, so the intermediates — and every consumer read — stay
-  /// bit-identical across thread counts.
-  void ComputeSharedIntermediates(bool full_pass);
-
   const EvalContext& ctx_;
   IdbState* state_;
   bool use_deltas_;
   /// True iff Options::initial_deltas seeded delta_ranges_, making stage 0
   /// a delta pass.
   bool seeded_ = false;
-  /// The optimized plan set (src/opt/pass_manager.h).
+  /// The optimized plan set (src/opt/stage_plans.h).
   StagePlans plans_;
-  /// The stage's shared intermediates, indexed by PlanOp::shared_source;
-  /// rebuilt by ComputeSharedIntermediates every stage.
-  std::vector<Relation> shared_rels_;
   DeltaRanges delta_ranges_;
   std::vector<std::vector<size_t>> stage_sizes_;
   std::vector<std::vector<std::vector<size_t>>> stage_shard_sizes_;

@@ -322,11 +322,6 @@ std::string RulePlan::ToString(const Program& program) const {
     out += "\n  ";
     switch (op.kind) {
       case PlanOp::Kind::kMatch:
-        if (op.shared_source >= 0) {
-          out += StrCat("shared-scan #", op.shared_source, "/",
-                        op.args.size());
-          break;
-        }
         out += StrCat(op.is_delta_scan ? "delta-scan " : "match ",
                       program.predicate(op.predicate).name, "/",
                       op.args.size(), " keycols=", op.key_cols.size());
@@ -348,7 +343,6 @@ std::string RulePlan::ToString(const Program& program) const {
         break;
     }
   }
-  if (has_projection) out += StrCat("\n  project/", projection.size());
   return out;
 }
 

@@ -47,11 +47,6 @@ struct PlanOp {
   /// kMatch only: scan the previous stage's delta rows of this dynamic
   /// predicate instead of the whole relation.
   bool is_delta_scan = false;
-  /// kMatch only: when >= 0, scan the stage's shared-intermediate
-  /// relation with this index (subplan sharing, src/opt/subplan_share.h)
-  /// instead of resolving `predicate` — which is kNoPredicate then. The
-  /// executor receives the intermediates alongside the plan.
-  int shared_source = -1;
 
   // kBindEq: bind `target_var` to the value of `source`.
   // kFilterEq / kFilterNeq: compare `lhs` and `rhs`.
@@ -80,11 +75,6 @@ struct RulePlan {
   /// the order the planner joined them (greedy or explicit). The join
   /// reordering pass compares and replaces this.
   std::vector<size_t> atom_order;
-  /// When true the executor emits `projection` instead of the rule head —
-  /// shared subplans use this to stage their projected prefix bindings
-  /// into an intermediate relation (arity projection.size(), possibly 0).
-  bool has_projection = false;
-  std::vector<Term> projection;
 
   /// Debug rendering of the op sequence.
   std::string ToString(const Program& program) const;

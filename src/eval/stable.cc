@@ -24,44 +24,25 @@ Result<StableResult> EnumerateStableModels(const Program& program,
       FixpointAnalyzer analyzer,
       FixpointAnalyzer::Create(&program, &database, options.analyze));
   const GroundProgram& ground = analyzer.ground();
-  const CompletionEncoding& encoding = analyzer.encoding();
 
-  // Enumerate supported models directly at the SAT level so we can apply
-  // the stability filter on atom vectors.
-  sat::Solver solver(options.analyze.solver);
-  solver.AddCnf(encoding.cnf);
-
+  // Enumerate supported models at the SAT level so the stability filter
+  // runs on atom vectors.
   StableResult out;
   std::vector<std::vector<bool>> stable_atoms;
-  bool enumeration_complete = false;
-  while (out.supported_examined < options.max_supported) {
-    const sat::SolveResult res = solver.Solve();
-    if (res == sat::SolveResult::kUnknown) {
-      return Status::ResourceExhausted("SAT conflict budget exhausted");
-    }
-    if (res == sat::SolveResult::kUnsat) {
-      enumeration_complete = true;
-      break;
-    }
-    ++out.supported_examined;
-    const std::vector<bool> atoms = encoding.DecodeAtoms(solver.Model());
-    // Gelfond–Lifschitz check: S is stable iff S = LM(P^S).
-    if (LeastModelOfReduct(ground, atoms) == atoms) {
-      stable_atoms.push_back(atoms);
-    }
-    // Block this supported model and continue.
-    sat::Clause block;
-    for (size_t a = 0; a < encoding.atom_vars.size(); ++a) {
-      const int32_t var = encoding.atom_vars[a];
-      if (var < 0) continue;
-      block.push_back(atoms[a] ? sat::Neg(var) : sat::Pos(var));
-    }
-    if (block.empty() || !solver.AddClause(block)) {
-      enumeration_complete = true;
-      break;
-    }
+  bool complete = false;
+  if (options.max_supported > 0) {
+    INFLOG_ASSIGN_OR_RETURN(
+        complete,
+        analyzer.EnumerateModels([&](const std::vector<bool>& atoms) {
+          ++out.supported_examined;
+          // Gelfond–Lifschitz check: S is stable iff S = LM(P^S).
+          if (LeastModelOfReduct(ground, atoms) == atoms) {
+            stable_atoms.push_back(atoms);
+          }
+          return out.supported_examined < options.max_supported;
+        }));
   }
-  if (!enumeration_complete) {
+  if (!complete) {
     return Status::ResourceExhausted("supported-model budget exhausted");
   }
   // Canonical order, independent of the order the search found the
@@ -71,7 +52,7 @@ Result<StableResult> EnumerateStableModels(const Program& program,
   for (const std::vector<bool>& atoms : stable_atoms) {
     out.models.push_back(ground.DecodeState(program, atoms));
   }
-  out.stats = SatEvalStats(solver.stats());
+  out.stats = SatEvalStats(analyzer.sat_stats());
   return out;
 }
 

@@ -75,23 +75,41 @@ Result<std::optional<IdbState>> FixpointAnalyzer::FindFixpoint() const {
   return std::optional<IdbState>(std::move(state));
 }
 
-Result<std::vector<IdbState>> FixpointAnalyzer::EnumerateFixpoints(
-    size_t limit) const {
+Result<bool> FixpointAnalyzer::EnumerateModels(
+    const ModelVisitor& visit) const {
   sat::Solver solver = MakeSolver();
-  std::vector<std::vector<bool>> found;
-  while (limit == 0 || found.size() < limit) {
+  bool exhausted = false;
+  while (true) {
     const sat::SolveResult res = solver.Solve();
     if (res == sat::SolveResult::kUnknown) {
       sat_stats_.Add(solver.stats());
       return Status::ResourceExhausted("SAT conflict budget exhausted");
     }
-    if (res == sat::SolveResult::kUnsat) break;
-    std::vector<bool> atoms = encoding_.DecodeAtoms(solver.Model());
+    if (res == sat::SolveResult::kUnsat) {
+      exhausted = true;
+      break;
+    }
+    const std::vector<bool> atoms = encoding_.DecodeAtoms(solver.Model());
+    const bool more = visit(atoms);
     const sat::Clause block = BlockingClause(atoms);
-    found.push_back(std::move(atoms));
-    if (block.empty() || !solver.AddClause(block)) break;
+    if (block.empty() || !solver.AddClause(block)) {
+      exhausted = true;
+      break;
+    }
+    if (!more) break;
   }
   sat_stats_.Add(solver.stats());
+  return exhausted;
+}
+
+Result<std::vector<IdbState>> FixpointAnalyzer::EnumerateFixpoints(
+    size_t limit) const {
+  std::vector<std::vector<bool>> found;
+  INFLOG_RETURN_IF_ERROR(
+      EnumerateModels([&](const std::vector<bool>& atoms) {
+        found.push_back(atoms);
+        return limit == 0 || found.size() < limit;
+      }).status());
   // Canonical order, independent of the order the search found them in.
   std::sort(found.begin(), found.end());
   std::vector<IdbState> fixpoints;
@@ -104,31 +122,15 @@ Result<std::vector<IdbState>> FixpointAnalyzer::EnumerateFixpoints(
 }
 
 Result<uint64_t> FixpointAnalyzer::CountFixpoints(uint64_t limit) const {
-  sat::Solver solver = MakeSolver();
   uint64_t count = 0;
-  while (true) {
-    const sat::SolveResult res = solver.Solve();
-    if (res == sat::SolveResult::kUnknown) {
-      sat_stats_.Add(solver.stats());
-      return Status::ResourceExhausted("SAT conflict budget exhausted");
-    }
-    if (res == sat::SolveResult::kUnsat) {
-      sat_stats_.Add(solver.stats());
-      return count;
-    }
-    ++count;
-    if (count > limit) {
-      sat_stats_.Add(solver.stats());
-      return Status::ResourceExhausted(
-          StrCat("more than ", limit, " fixpoints"));
-    }
-    const sat::Clause block =
-        BlockingClause(encoding_.DecodeAtoms(solver.Model()));
-    if (block.empty() || !solver.AddClause(block)) {
-      sat_stats_.Add(solver.stats());
-      return count;
-    }
+  INFLOG_RETURN_IF_ERROR(EnumerateModels([&](const std::vector<bool>&) {
+                           return ++count <= limit;
+                         }).status());
+  if (count > limit) {
+    return Status::ResourceExhausted(
+        StrCat("more than ", limit, " fixpoints"));
   }
+  return count;
 }
 
 Result<UniqueStatus> FixpointAnalyzer::UniqueFixpoint() const {

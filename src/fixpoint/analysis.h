@@ -24,6 +24,7 @@
 #ifndef INFLOG_FIXPOINT_ANALYSIS_H_
 #define INFLOG_FIXPOINT_ANALYSIS_H_
 
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -88,6 +89,18 @@ class FixpointAnalyzer {
 
   /// None / exactly one / more than one fixpoint.
   Result<UniqueStatus> UniqueFixpoint() const;
+
+  /// Called by EnumerateModels with each model's atom assignment (by
+  /// ground atom id); returns false to stop the enumeration.
+  using ModelVisitor = std::function<bool(const std::vector<bool>& atoms)>;
+
+  /// The one model-enumeration loop: solves the completion, hands each
+  /// model to `visit`, and blocks it before asking for the next, in the
+  /// solver's deterministic search order. The model `visit` stops on is
+  /// blocked too. Returns true when the models ran out and false when
+  /// `visit` stopped first; ResourceExhausted when the conflict budget
+  /// runs out. The solver's statistics join sat_stats() either way.
+  Result<bool> EnumerateModels(const ModelVisitor& visit) const;
 
   /// Decides least-fixpoint existence per Theorem 3.
   Result<LeastFixpointOutcome> LeastFixpoint() const;

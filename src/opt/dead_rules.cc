@@ -4,11 +4,11 @@
 
 namespace inflog {
 
-void DeadRulePass::Run(const PassContext& pctx, StagePlans* plans,
-                       OptCounters* counters) {
-  const std::vector<uint32_t>& outputs = pctx.ctx->output_preds();
+void EliminateDeadRules(const EvalContext& ctx, StagePlans* plans,
+                        OptCounters* counters) {
+  const std::vector<uint32_t>& outputs = ctx.output_preds();
   if (outputs.empty()) return;
-  const Program& program = pctx.ctx->program();
+  const Program& program = ctx.program();
 
   // Predicate-level reachability closure from the outputs: a predicate is
   // needed iff an output (transitively) depends on it through any rule —

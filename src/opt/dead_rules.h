@@ -13,16 +13,14 @@
 #ifndef INFLOG_OPT_DEAD_RULES_H_
 #define INFLOG_OPT_DEAD_RULES_H_
 
-#include "src/opt/pass_manager.h"
+#include "src/opt/stage_plans.h"
 
 namespace inflog {
 
-class DeadRulePass : public PlanPass {
- public:
-  std::string_view name() const override { return "dce"; }
-  void Run(const PassContext& pctx, StagePlans* plans,
-           OptCounters* counters) override;
-};
+/// Removes the dead rules' plans from `plans`, counting them in
+/// counters->rules_eliminated.
+void EliminateDeadRules(const EvalContext& ctx, StagePlans* plans,
+                        OptCounters* counters);
 
 }  // namespace inflog
 

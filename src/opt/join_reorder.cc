@@ -47,13 +47,13 @@ void FlushEqualities(const Rule& rule, std::vector<bool>* bound) {
 
 /// One plan's DP. Returns true (and fills `order`, body indices) when a
 /// strictly cheaper order than `plan.atom_order` exists.
-bool FindCheaperOrder(const PassContext& pctx, const CostModel& model,
+bool FindCheaperOrder(const Program& program, const CostModel& model,
                       const RulePlan& plan, std::vector<size_t>* order) {
   const size_t n = plan.atom_order.size();
   if (plan.never_fires || n < 2 || n > OptimizerPasses::kMaxDpAtoms) {
     return false;
   }
-  const Rule& rule = pctx.ctx->program().rules()[plan.rule_index];
+  const Rule& rule = program.rules()[plan.rule_index];
 
   // Canonical atom numbering: ascending body index, independent of the
   // greedy placement order.
@@ -135,24 +135,28 @@ bool FindCheaperOrder(const PassContext& pctx, const CostModel& model,
   return *order != plan.atom_order;
 }
 
-void MaybeReorder(const PassContext& pctx, const CostModel& model,
-                  RulePlan* plan, int delta_literal, OptCounters* counters) {
+void MaybeReorder(const Program& program, const CostModel& model,
+                  const std::vector<bool>& dynamic_idb, RulePlan* plan,
+                  int delta_literal, OptCounters* counters) {
   std::vector<size_t> order;
-  if (!FindCheaperOrder(pctx, model, *plan, &order)) return;
-  *plan = PlanRuleWithOrder(pctx.ctx->program(), plan->rule_index,
-                            pctx.dynamic_idb, delta_literal, order);
+  if (!FindCheaperOrder(program, model, *plan, &order)) return;
+  *plan = PlanRuleWithOrder(program, plan->rule_index, dynamic_idb,
+                            delta_literal, order);
   ++counters->plans_reordered;
 }
 
 }  // namespace
 
-void JoinReorderPass::Run(const PassContext& pctx, StagePlans* plans,
-                          OptCounters* counters) {
-  const CostModel model(*pctx.ctx, *pctx.state);
+void ReorderJoins(const EvalContext& ctx, const IdbState& state,
+                  const std::vector<bool>& dynamic_idb, StagePlans* plans,
+                  OptCounters* counters) {
+  const Program& program = ctx.program();
+  const CostModel model(ctx, state);
   for (CompiledRulePlans& c : plans->rules) {
-    MaybeReorder(pctx, model, &c.full, -1, counters);
+    MaybeReorder(program, model, dynamic_idb, &c.full, -1, counters);
     for (CompiledDeltaPlan& d : c.deltas) {
-      MaybeReorder(pctx, model, &d.plan, d.plan.delta_literal, counters);
+      MaybeReorder(program, model, dynamic_idb, &d.plan,
+                   d.plan.delta_literal, counters);
     }
   }
 }

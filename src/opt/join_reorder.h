@@ -20,16 +20,17 @@
 #ifndef INFLOG_OPT_JOIN_REORDER_H_
 #define INFLOG_OPT_JOIN_REORDER_H_
 
-#include "src/opt/pass_manager.h"
+#include "src/opt/stage_plans.h"
 
 namespace inflog {
 
-class JoinReorderPass : public PlanPass {
- public:
-  std::string_view name() const override { return "reorder"; }
-  void Run(const PassContext& pctx, StagePlans* plans,
-           OptCounters* counters) override;
-};
+/// Replans every plan in `plans` whose DP order is strictly cheaper,
+/// counting them in counters->plans_reordered. `state` supplies the cost
+/// model's statistics; `dynamic_idb` (by idb_index) is the lowering's
+/// dynamic-predicate mask, reused for the replans.
+void ReorderJoins(const EvalContext& ctx, const IdbState& state,
+                  const std::vector<bool>& dynamic_idb, StagePlans* plans,
+                  OptCounters* counters);
 
 }  // namespace inflog
 

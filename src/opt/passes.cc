@@ -17,7 +17,6 @@ struct TokenEntry {
 constexpr TokenEntry kTokens[] = {
     {"dce", &OptimizerPasses::eliminate_dead_rules},
     {"reorder", &OptimizerPasses::reorder_joins},
-    {"share", &OptimizerPasses::share_subplans},
     {"magic", &OptimizerPasses::magic_sets},
     {"inline", &OptimizerPasses::inline_rules},
 };
@@ -43,10 +42,14 @@ Result<OptimizerPasses> ParseOptimizerPasses(std::string_view text) {
       }
     }
     if (!known) {
+      std::string expected;
+      for (const TokenEntry& entry : kTokens) {
+        if (!expected.empty()) expected += "|";
+        expected += entry.name;
+      }
       return Status::InvalidArgument(
           StrCat("unknown optimizer pass: '", std::string(name),
-                 "' (expected all|none or a comma list of "
-                 "dce|reorder|share|magic|inline)"));
+                 "' (expected all|none or a comma list of ", expected, ")"));
     }
     if (comma == std::string_view::npos) break;
     pos = comma + 1;

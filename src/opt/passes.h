@@ -2,8 +2,8 @@
 // and FixpointDriver dispatch.
 //
 // Two families share this selection:
-//  - Plan-level passes (dce / reorder / share, src/opt/pass_manager.h)
-//    run between rule lowering and fixpoint dispatch. Every plan pass
+//  - Plan-level passes (dce / reorder, src/opt/stage_plans.h) run
+//    between rule lowering and fixpoint dispatch. Every plan pass
 //    preserves the evaluated semantics (relations, stage sizes,
 //    TupleStage) exactly; the selection only moves plan cost.
 //  - Program-level rewrites (magic / inline, src/opt/program_rewrite.h)
@@ -29,9 +29,9 @@
 namespace inflog {
 
 /// Per-pass enable flags for the optimizer pipeline. Program rewrites
-/// run first (inline → magic), then the plan pipeline runs the enabled
+/// run first (inline → magic), then CompileStagePlans runs the enabled
 /// plan passes in the fixed order dead-rule elimination → join
-/// reordering → subplan sharing.
+/// reordering.
 struct OptimizerPasses {
   /// Drop rules whose head predicate cannot reach any output predicate
   /// in the dependency graph. Inert unless output predicates are named
@@ -42,9 +42,6 @@ struct OptimizerPasses {
   /// (DP over bodies of up to kMaxDpAtoms atoms, driven by relation row
   /// counts and sampled posting-list lengths; greedy beyond that).
   bool reorder_joins = true;
-  /// Compute structurally equal join prefixes shared by several plans of
-  /// a stage once per stage into a cached intermediate.
-  bool share_subplans = true;
   /// Magic-sets / demand transformation: adorn the program from the
   /// declared outputs' binding patterns and guard rule bodies with
   /// magic_P_α seed predicates so fixpoints only derive demanded
@@ -58,17 +55,16 @@ struct OptimizerPasses {
   bool inline_rules = true;
 
   static OptimizerPasses All() { return OptimizerPasses{}; }
-  static OptimizerPasses None() { return {false, false, false, false, false}; }
+  static OptimizerPasses None() { return {false, false, false, false}; }
 
   bool any() const {
-    return eliminate_dead_rules || reorder_joins || share_subplans ||
-           magic_sets || inline_rules;
+    return eliminate_dead_rules || reorder_joins || magic_sets ||
+           inline_rules;
   }
 
   bool operator==(const OptimizerPasses& o) const {
     return eliminate_dead_rules == o.eliminate_dead_rules &&
-           reorder_joins == o.reorder_joins &&
-           share_subplans == o.share_subplans && magic_sets == o.magic_sets &&
+           reorder_joins == o.reorder_joins && magic_sets == o.magic_sets &&
            inline_rules == o.inline_rules;
   }
   bool operator!=(const OptimizerPasses& o) const { return !(*this == o); }

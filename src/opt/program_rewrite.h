@@ -2,7 +2,7 @@
 // demand transformation, both driven by the declared output predicates
 // (EvalContextOptions::output_predicates, the CLI's --query).
 //
-// Unlike the plan-level passes (src/opt/pass_manager.h), which preserve
+// Unlike the plan-level passes (src/opt/stage_plans.h), which preserve
 // relations, stage counts and tuple stages exactly, these rewrites
 // replace the program before lowering and guarantee only that the
 // declared output predicates' relations are preserved as SETS — the

@@ -1,11 +1,10 @@
-#include "src/opt/pass_manager.h"
+#include "src/opt/stage_plans.h"
 
 #include <numeric>
 
 #include "src/base/logging.h"
 #include "src/opt/dead_rules.h"
 #include "src/opt/join_reorder.h"
-#include "src/opt/subplan_share.h"
 
 namespace inflog {
 namespace {
@@ -24,20 +23,6 @@ int DeltaScanIdb(const Program& program, const RulePlan& plan) {
 
 }  // namespace
 
-PassManager MakeStandardPipeline(const OptimizerPasses& passes) {
-  PassManager manager;
-  if (passes.eliminate_dead_rules) {
-    manager.Add(std::make_unique<DeadRulePass>());
-  }
-  if (passes.reorder_joins) {
-    manager.Add(std::make_unique<JoinReorderPass>());
-  }
-  if (passes.share_subplans) {
-    manager.Add(std::make_unique<SubplanSharePass>());
-  }
-  return manager;
-}
-
 StagePlans CompileStagePlans(const EvalContext& ctx, const IdbState& state,
                              const std::vector<size_t>& rule_subset,
                              bool use_deltas, OptCounters* counters) {
@@ -50,13 +35,9 @@ StagePlans CompileStagePlans(const EvalContext& ctx, const IdbState& state,
     std::iota(rules.begin(), rules.end(), 0);
   }
 
-  PassContext pctx;
-  pctx.ctx = &ctx;
-  pctx.state = &state;
-  pctx.use_deltas = use_deltas;
-  pctx.dynamic_idb.assign(num_idb, false);
+  std::vector<bool> dynamic_idb(num_idb, false);
   for (size_t i = 0; i < num_idb; ++i) {
-    pctx.dynamic_idb[i] = ctx.IsDynamic(program.idb_predicates()[i]);
+    dynamic_idb[i] = ctx.IsDynamic(program.idb_predicates()[i]);
   }
 
   // Greedy lowering: a full plan per rule (stage 0 / naive passes), and
@@ -66,15 +47,15 @@ StagePlans CompileStagePlans(const EvalContext& ctx, const IdbState& state,
   for (size_t r : rules) {
     const Rule& rule = program.rules()[r];
     const int idb = program.predicate(rule.head.predicate).idb_index;
-    INFLOG_CHECK(idb >= 0 && pctx.dynamic_idb[idb])
+    INFLOG_CHECK(idb >= 0 && dynamic_idb[idb])
         << "fixpoint rule subset must have dynamic head predicates";
     CompiledRulePlans c;
     c.rule_index = r;
     c.head_idb = idb;
-    c.full = PlanRule(program, r, pctx.dynamic_idb, -1);
+    c.full = PlanRule(program, r, dynamic_idb, -1);
     if (use_deltas) {
-      for (int lit : DeltaCandidates(program, rule, pctx.dynamic_idb)) {
-        RulePlan plan = PlanRule(program, r, pctx.dynamic_idb, lit);
+      for (int lit : DeltaCandidates(program, rule, dynamic_idb)) {
+        RulePlan plan = PlanRule(program, r, dynamic_idb, lit);
         const int delta_idb = DeltaScanIdb(program, plan);
         c.deltas.push_back(CompiledDeltaPlan{std::move(plan), delta_idb});
       }
@@ -82,9 +63,16 @@ StagePlans CompileStagePlans(const EvalContext& ctx, const IdbState& state,
     plans.rules.push_back(std::move(c));
   }
 
+  // The plan passes, in their fixed order.
   OptCounters local;
-  MakeStandardPipeline(ctx.optimizer_passes())
-      .Run(pctx, &plans, counters != nullptr ? counters : &local);
+  if (counters == nullptr) counters = &local;
+  const OptimizerPasses& passes = ctx.optimizer_passes();
+  if (passes.eliminate_dead_rules) {
+    EliminateDeadRules(ctx, &plans, counters);
+  }
+  if (passes.reorder_joins) {
+    ReorderJoins(ctx, state, dynamic_idb, &plans, counters);
+  }
   return plans;
 }
 

@@ -148,7 +148,21 @@ class QueryJoiner {
       : query_(query),
         rels_(rels),
         out_(out),
-        binding_(query.num_vars, kNoValue) {}
+        binding_(query.num_vars, kNoValue),
+        binds_(query.atoms.size()) {
+    // Atoms join in written order and a match binds every open variable
+    // of its atom, so the variables atom ai binds first are the same for
+    // every row: those not seen in an earlier atom (or earlier in ai).
+    std::vector<bool> seen(query.num_vars, false);
+    for (size_t ai = 0; ai < query.atoms.size(); ++ai) {
+      for (const ServeTerm& t : query.atoms[ai].terms) {
+        if (t.is_var && !seen[t.var]) {
+          seen[t.var] = true;
+          binds_[ai].push_back(t.var);
+        }
+      }
+    }
+  }
 
   /// True iff at least one full match was found (the ground-query
   /// answer); `out_` accumulates the projected bindings.
@@ -216,8 +230,6 @@ class QueryJoiner {
   /// variables; recurses on success and always restores the bindings.
   bool TryRow(size_t ai, TupleView row) {
     const ServeAtom& atom = query_.atoms[ai];
-    uint32_t bound_here[16];
-    size_t num_bound = 0;
     bool match = true;
     for (size_t col = 0; col < atom.terms.size() && match; ++col) {
       const ServeTerm& t = atom.terms[col];
@@ -227,14 +239,10 @@ class QueryJoiner {
         match = row[col] == binding_[t.var];
       } else {
         binding_[t.var] = row[col];
-        INFLOG_CHECK(num_bound < 16) << "query atom arity over 16";
-        bound_here[num_bound++] = t.var;
       }
     }
     const bool any = match && Join(ai + 1);
-    for (size_t k = 0; k < num_bound; ++k) {
-      binding_[bound_here[k]] = kNoValue;
-    }
+    for (const uint32_t var : binds_[ai]) binding_[var] = kNoValue;
     return any;
   }
 
@@ -242,6 +250,8 @@ class QueryJoiner {
   const std::vector<const Relation*>& rels_;
   Relation* out_;
   std::vector<Value> binding_;
+  /// Per atom, the variables it binds first (see the constructor).
+  std::vector<std::vector<uint32_t>> binds_;
 };
 
 }  // namespace

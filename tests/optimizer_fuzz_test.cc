@@ -64,8 +64,8 @@ std::string Describe(const GeneratedProgram& gen) {
 /// unoptimized baseline. Exercises each pass alone, the rewrites
 /// together, and a rewrite stacked on a plan pass.
 const char* const kSelections[] = {
-    "all",   "dce",    "reorder",      "share",
-    "magic", "inline", "magic,inline", "dce,magic",
+    "all",    "dce",          "reorder",   "magic",
+    "inline", "magic,inline", "dce,magic",
 };
 
 GeneratorOptions OptionsForSeed(int seed) {

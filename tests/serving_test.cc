@@ -169,6 +169,70 @@ TEST_F(ServingTest, ServingQueryMatchesBatchRendering) {
   }
 }
 
+TEST_F(ServingTest, ServingWideRelationMatchesBatch) {
+  // Queries over a 17-ary relation: wider than any fixed per-row binding
+  // buffer, so every atom must restore exactly the variables it bound.
+  constexpr size_t kArity = 17;
+  auto vars = [&](const std::string& prefix) {
+    std::string out;
+    for (size_t i = 0; i < kArity; ++i) {
+      out += (i == 0 ? "" : ",") + prefix + std::to_string(i);
+    }
+    return out;
+  };
+  // "first,mid1,...,mid15,last": one row's argument list.
+  auto args = [&](const std::string& first, const std::string& mid,
+                  const std::string& last) {
+    std::string out = first;
+    for (size_t i = 1; i + 1 < kArity; ++i) out += "," + mid + std::to_string(i);
+    return out + "," + last;
+  };
+  // c0..c16 distinct; two rows repeat their first value in the last
+  // column, one of them sharing c0 with the distinct row.
+  const std::string facts = "R(" + args("c0", "c", "c16") + ").\n" +
+                            "R(" + args("c0", "d", "c0") + ").\n" +
+                            "R(" + args("e0", "e", "e0") + ").\n";
+  Load("W(" + vars("X") + ") :- R(" + vars("X") + ").\n", facts);
+  Begin();
+  auto outcome = engine_->Evaluate(SemanticsKind::kStratified);
+  ASSERT_TRUE(outcome.ok());
+  auto batch = engine_->RelationOf(outcome->state(), "W");
+  ASSERT_TRUE(batch.ok());
+  const std::vector<Tuple> rows = (*batch)->SortedTuples();
+  ASSERT_EQ(rows.size(), 3u);
+
+  // The whole relation.
+  EXPECT_EQ(Answer("?W(" + vars("A") + ")"),
+            (*batch)->ToString(*engine_->symbols()));
+
+  // Ground: every batch row is true, a near miss is false.
+  for (const Tuple& row : rows) {
+    std::string line = "?W(";
+    for (size_t i = 0; i < kArity; ++i) {
+      line += (i == 0 ? "" : ",") + engine_->symbols()->Name(row[i]);
+    }
+    EXPECT_EQ(Answer(line + ")"), "true") << line;
+  }
+  EXPECT_EQ(Answer("?W(" + args("c0", "c", "c0") + ")"), "false");
+
+  // Selection on the first column, and a repeated variable across the
+  // first and last columns, each projected like the batch rows.
+  const std::string select = "?W(" + args("c0", "A", "A16") + ")";
+  const std::string repeat = "?W(" + args("X", "A", "X") + ")";
+  Relation selected(kArity - 1);
+  Relation repeated(kArity - 1);
+  for (const Tuple& row : rows) {
+    if (row[0] == V("c0")) selected.Insert(Tuple(row.begin() + 1, row.end()));
+    if (row[0] == row[kArity - 1]) {
+      repeated.Insert(Tuple(row.begin(), row.end() - 1));
+    }
+  }
+  EXPECT_EQ(selected.size(), 2u);
+  EXPECT_EQ(repeated.size(), 2u);
+  EXPECT_EQ(Answer(select), selected.ToString(*engine_->symbols()));
+  EXPECT_EQ(Answer(repeat), repeated.ToString(*engine_->symbols()));
+}
+
 TEST_F(ServingTest, ServingQueryErrors) {
   Load(kTwoIslandProgram, kTwoIslandFacts);
   Begin();
