@@ -4,10 +4,14 @@
 // $0,$1,... — see ParseServeQuery) and tagged with the epoch whose answer
 // they hold plus the query's support set (the relations it reads). When
 // the writer publishes epoch E+1 with net deltas touching relations D,
-// Advance(D, E+1) erases exactly the entries whose support intersects D
-// and re-tags the survivors with E+1 — their answers provably cannot have
+// Advance(D, E+1) records D and E+1; the next cache call of any thread
+// then erases exactly the entries whose support intersects D and
+// re-tags the survivors with E+1 — their answers provably cannot have
 // changed, because a serve query reads only its support relations and
-// those are shared by pointer with the previous epoch.
+// those are shared by pointer with the previous epoch. Deferring the
+// sweep keeps it, and the freeing of reader-built answers, off the
+// writer's update path. Advances with no call between them sweep once
+// against the union of their deltas, with the same effect.
 //
 // A lookup hits only when the entry's epoch equals the reader's pinned
 // epoch, so a reader pinned to an older snapshot never sees a newer
@@ -21,6 +25,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -48,10 +53,11 @@ class QueryCache {
               const std::vector<std::string>& support,
               const ServeAnswer& answer);
 
-  /// Advances the cache to `new_epoch`: erases every entry whose support
-  /// set intersects `changed_relations` (nullptr = everything changed,
-  /// the oracle-recompute path) and re-tags the survivors with
-  /// `new_epoch`. Writer-side, called once per published epoch.
+  /// Advances the cache to `new_epoch`: every entry whose support set
+  /// intersects `changed_relations` (nullptr = everything changed, the
+  /// oracle-recompute path) is erased and the survivors are re-tagged
+  /// with `new_epoch`, by the sweep the next other call runs first.
+  /// Called once per published epoch.
   void Advance(const std::vector<std::string>* changed_relations,
                uint64_t new_epoch);
 
@@ -60,8 +66,9 @@ class QueryCache {
 
   uint64_t hits() const;
   uint64_t misses() const;
-  uint64_t invalidations() const;
-  size_t size() const;
+  /// Non-const: like Lookup, these run any pending sweep first.
+  uint64_t invalidations();
+  size_t size();
 
  private:
   struct Entry {
@@ -70,10 +77,19 @@ class QueryCache {
     ServeAnswer answer;
   };
 
+  /// Runs the sweep the Advances since the last call deferred. Requires
+  /// mu_.
+  void SweepLocked();
+
   mutable std::mutex mu_;
   std::map<std::string, Entry> entries_;
   /// The epoch of the last Advance; inserts below it are dropped.
   uint64_t current_epoch_ = 0;
+  /// The deferred sweep: whether one is due, and the union of the
+  /// changed relations the Advances since the last one named (or all).
+  bool sweep_pending_ = false;
+  bool sweep_all_ = false;
+  std::set<std::string> sweep_changed_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t invalidations_ = 0;

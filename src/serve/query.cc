@@ -3,18 +3,39 @@
 #include <algorithm>
 #include <cctype>
 #include <map>
-#include <span>
 #include <utility>
 
 #include "src/base/strings.h"
+#include "src/eval/context.h"
+#include "src/eval/executor.h"
+#include "src/eval/plan.h"
 
 namespace inflog {
 namespace serve {
 
 namespace {
 
+/// The query rule's head predicate. No query or program can name it
+/// (`?` is not an identifier character), so it never aliases a body
+/// predicate.
+constexpr std::string_view kHeadPredicate = "?";
+
 bool IsIdentChar(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
+}
+
+/// True when `name` lexes as one bare constant in program text: a run of
+/// digits, or an identifier starting with a lowercase letter.
+bool IsBareConstant(std::string_view name) {
+  if (name.empty()) return false;
+  const unsigned char c0 = static_cast<unsigned char>(name.front());
+  if (std::isdigit(c0) != 0) {
+    return std::all_of(name.begin(), name.end(), [](char c) {
+      return std::isdigit(static_cast<unsigned char>(c)) != 0;
+    });
+  }
+  return std::islower(c0) != 0 &&
+         std::all_of(name.begin(), name.end(), IsIdentChar);
 }
 
 }  // namespace
@@ -22,6 +43,7 @@ bool IsIdentChar(char c) {
 Result<ServeQuery> ParseServeQuery(std::string_view line,
                                    const SymbolTable& symbols) {
   ServeQuery query;
+  Rule& rule = query.rule;
   size_t i = 0;
   const auto skip_ws = [&] {
     while (i < line.size() &&
@@ -35,9 +57,11 @@ Result<ServeQuery> ParseServeQuery(std::string_view line,
         StrCat("query must start with '?': ", std::string(line)));
   }
   ++i;
-  // Named-variable name -> dense id (appearance order); anonymous `_`
-  // terms get fresh ids and never join output_vars.
-  std::map<std::string, uint32_t, std::less<>> named;
+  // Named-variable name -> its output position; the variable's id is
+  // rule.head.args[position]. Anonymous `_` terms get fresh ids and
+  // never reach the head.
+  std::map<std::string, size_t, std::less<>> named;
+  std::vector<std::string_view> atom_predicates;  // parallel to rule.body
   while (true) {
     skip_ws();
     const size_t name_start = i;
@@ -47,59 +71,70 @@ Result<ServeQuery> ParseServeQuery(std::string_view line,
           StrCat("expected a relation name at column ", i + 1, " of query: ",
                  std::string(line)));
     }
-    ServeAtom atom;
-    atom.predicate = std::string(line.substr(name_start, i - name_start));
+    const std::string_view predicate = line.substr(name_start, i - name_start);
     if (i >= line.size() || line[i] != '(') {
       return Status::InvalidArgument(
-          StrCat("expected '(' after relation name ", atom.predicate));
+          StrCat("expected '(' after relation name ", predicate));
     }
     ++i;
-    std::string key_atom = StrCat(atom.predicate, "(");
-    bool first_term = true;
+    Literal atom;
+    std::string key_atom = StrCat(predicate, "(");
     skip_ws();
     if (i < line.size() && line[i] == ')') {
       ++i;  // zero-arity atom
     } else {
       while (true) {
+        if (!atom.args.empty()) key_atom += ",";
         skip_ws();
         const size_t term_start = i;
-        while (i < line.size() && line[i] != ',' && line[i] != ')' &&
-               std::isspace(static_cast<unsigned char>(line[i])) == 0) {
-          ++i;
-        }
-        if (i == term_start) {
-          return Status::InvalidArgument(
-              StrCat("empty term in query atom ", atom.predicate));
-        }
-        const std::string_view token = line.substr(term_start, i - term_start);
-        ServeTerm term;
-        const char c0 = token.front();
-        if (std::isupper(static_cast<unsigned char>(c0)) || c0 == '_') {
-          term.is_var = true;
-          if (token == "_") {
-            term.var = query.num_vars++;
-            key_atom += first_term ? "_" : ",_";
-          } else {
-            const auto it = named.find(token);
-            if (it != named.end()) {
-              term.var = it->second;
-            } else {
-              term.var = query.num_vars++;
-              named.emplace(std::string(token), term.var);
-              query.output_vars.push_back(term.var);
-              query.output_names.emplace_back(token);
-            }
-            // Positional rename: the k-th distinct named variable is $k.
-            size_t pos = 0;
-            while (query.output_vars[pos] != term.var) ++pos;
-            key_atom += StrCat(first_term ? "$" : ",$", pos);
+        std::string_view token;
+        bool quoted = false;
+        if (i < line.size() && line[i] == '\'') {
+          // A quoted constant stands for its unquoted text, as in facts.
+          const size_t close = line.find('\'', i + 1);
+          if (close == std::string_view::npos) {
+            return Status::InvalidArgument(StrCat(
+                "unterminated quoted constant in query: ", std::string(line)));
           }
+          token = line.substr(i + 1, close - i - 1);
+          i = close + 1;
+          quoted = true;
         } else {
-          term.constant = symbols.Find(token);  // kNoValue: matches nothing
-          key_atom += StrCat(first_term ? "" : ",", std::string(token));
+          while (i < line.size() && line[i] != ',' && line[i] != ')' &&
+                 std::isspace(static_cast<unsigned char>(line[i])) == 0) {
+            ++i;
+          }
+          if (i == term_start) {
+            return Status::InvalidArgument(
+                StrCat("empty term in query atom ", predicate));
+          }
+          token = line.substr(term_start, i - term_start);
         }
-        atom.terms.push_back(term);
-        first_term = false;
+        const bool is_var =
+            !quoted &&
+            (std::isupper(static_cast<unsigned char>(token.front())) != 0 ||
+             token.front() == '_');
+        if (is_var && token == "_") {
+          atom.args.push_back(Term::Var(rule.num_vars++));
+          rule.var_names.emplace_back(token);
+          key_atom += "_";
+        } else if (is_var) {
+          auto it = named.find(token);
+          if (it == named.end()) {
+            it = named.emplace(token, rule.head.args.size()).first;
+            rule.head.args.push_back(Term::Var(rule.num_vars++));
+            rule.var_names.emplace_back(token);
+            query.output_names.emplace_back(token);
+          }
+          atom.args.push_back(rule.head.args[it->second]);
+          // Positional rename: the k-th distinct named variable is $k.
+          key_atom += StrCat("$", it->second);
+        } else {
+          // kNoValue when unknown: the query then matches nothing.
+          atom.args.push_back(Term::Const(symbols.Find(token)));
+          key_atom += IsBareConstant(token) ? std::string(token)
+                                            : StrCat("'", token, "'");
+        }
         skip_ws();
         if (i < line.size() && line[i] == ',') {
           ++i;
@@ -114,9 +149,10 @@ Result<ServeQuery> ParseServeQuery(std::string_view line,
       }
     }
     key_atom += ")";
-    query.key += query.atoms.empty() ? key_atom : StrCat(",", key_atom);
-    query.support.push_back(atom.predicate);
-    query.atoms.push_back(std::move(atom));
+    query.key += rule.body.empty() ? key_atom : StrCat(",", key_atom);
+    query.support.emplace_back(predicate);
+    atom_predicates.push_back(predicate);
+    rule.body.push_back(std::move(atom));
     skip_ws();
     if (i < line.size() && line[i] == ',') {
       ++i;
@@ -133,152 +169,78 @@ Result<ServeQuery> ParseServeQuery(std::string_view line,
   query.support.erase(
       std::unique(query.support.begin(), query.support.end()),
       query.support.end());
+  for (size_t a = 0; a < rule.body.size(); ++a) {
+    rule.body[a].predicate = static_cast<uint32_t>(
+        std::lower_bound(query.support.begin(), query.support.end(),
+                         atom_predicates[a]) -
+        query.support.begin());
+  }
+  rule.head.predicate = static_cast<uint32_t>(query.support.size());
   return query;
 }
 
 namespace {
 
-/// Backtracking index-nested-loop join over sealed relations. Every read
-/// is pure (the snapshot sealed all column indexes), so concurrent
-/// evaluations share relations freely.
-class QueryJoiner {
- public:
-  QueryJoiner(const ServeQuery& query,
-              const std::vector<const Relation*>& rels, Relation* out)
-      : query_(query),
-        rels_(rels),
-        out_(out),
-        binding_(query.num_vars, kNoValue),
-        binds_(query.atoms.size()) {
-    // Atoms join in written order and a match binds every open variable
-    // of its atom, so the variables atom ai binds first are the same for
-    // every row: those not seen in an earlier atom (or earlier in ai).
-    std::vector<bool> seen(query.num_vars, false);
-    for (size_t ai = 0; ai < query.atoms.size(); ++ai) {
-      for (const ServeTerm& t : query.atoms[ai].terms) {
-        if (t.is_var && !seen[t.var]) {
-          seen[t.var] = true;
-          binds_[ai].push_back(t.var);
-        }
-      }
-    }
-  }
-
-  /// True iff at least one full match was found (the ground-query
-  /// answer); `out_` accumulates the projected bindings.
-  bool Run() { return Join(0); }
-
- private:
-  bool Join(size_t ai) {
-    if (ai == query_.atoms.size()) {
-      if (query_.num_vars != 0) {
-        Tuple row(query_.output_vars.size());
-        for (size_t k = 0; k < query_.output_vars.size(); ++k) {
-          row[k] = binding_[query_.output_vars[k]];
-        }
-        out_->Insert(row);
-      }
-      return true;
-    }
-    const ServeAtom& atom = query_.atoms[ai];
-    const Relation& rel = *rels_[ai];
-    const size_t arity = atom.terms.size();
-    // Resolve each column: a constant or an already-bound variable gives
-    // a probe value; anything else stays open for this atom to bind.
-    bool all_bound = true;
-    size_t probe_col = arity;  // first bound column, if any
-    Tuple probe(arity, kNoValue);
-    for (size_t col = 0; col < arity; ++col) {
-      const ServeTerm& t = atom.terms[col];
-      const Value v = t.is_var ? binding_[t.var] : t.constant;
-      if (t.is_var && v == kNoValue) {
-        all_bound = false;
-        continue;
-      }
-      if (!t.is_var && v == kNoValue) return false;  // unknown constant
-      probe[col] = v;
-      if (probe_col == arity) probe_col = col;
-    }
-    if (all_bound) {
-      return rel.Contains(probe) && Join(ai + 1);
-    }
-    bool any = false;
-    if (probe_col < arity) {
-      // Indexed path: walk the per-shard postings of the first bound
-      // column in shard-major ascending order (deterministic).
-      std::vector<std::span<const uint32_t>> spans(rel.num_shards());
-      rel.EqualRowsPerShard(probe_col, probe[probe_col], spans.data());
-      for (size_t s = 0; s < rel.num_shards(); ++s) {
-        const Relation::ShardView view = rel.shard(s);
-        for (const uint32_t row : spans[s]) {
-          any |= TryRow(ai, view.Row(row));
-        }
-      }
-    } else {
-      for (size_t s = 0; s < rel.num_shards(); ++s) {
-        const Relation::ShardView view = rel.shard(s);
-        for (size_t row = 0; row < view.size(); ++row) {
-          if (!view.IsLive(row)) continue;
-          any |= TryRow(ai, view.Row(row));
-        }
-      }
-    }
-    return any;
-  }
-
-  /// Matches one candidate row against atom `ai`, binding its open
-  /// variables; recurses on success and always restores the bindings.
-  bool TryRow(size_t ai, TupleView row) {
-    const ServeAtom& atom = query_.atoms[ai];
-    bool match = true;
-    for (size_t col = 0; col < atom.terms.size() && match; ++col) {
-      const ServeTerm& t = atom.terms[col];
-      if (!t.is_var) {
-        match = row[col] == t.constant;
-      } else if (binding_[t.var] != kNoValue) {
-        match = row[col] == binding_[t.var];
-      } else {
-        binding_[t.var] = row[col];
-      }
-    }
-    const bool any = match && Join(ai + 1);
-    for (const uint32_t var : binds_[ai]) binding_[var] = kNoValue;
-    return any;
-  }
-
-  const ServeQuery& query_;
-  const std::vector<const Relation*>& rels_;
-  Relation* out_;
-  std::vector<Value> binding_;
-  /// Per atom, the variables it binds first (see the constructor).
-  std::vector<std::vector<uint32_t>> binds_;
-};
+/// The database every query context binds against: all body predicates
+/// are overridden, so it only has to exist, and being empty it adds no
+/// active domain to copy per query.
+const Database& EmptyDatabase() {
+  static const Database* const kEmpty = new Database();
+  return *kEmpty;
+}
 
 }  // namespace
 
 Result<ServeAnswer> EvalServeQuery(const ServeQuery& query,
                                    const Program& program,
                                    const DatabaseSnapshot& snapshot) {
-  std::vector<const Relation*> rels;
-  rels.reserve(query.atoms.size());
-  for (const ServeAtom& atom : query.atoms) {
-    INFLOG_ASSIGN_OR_RETURN(const Relation* rel,
-                            snapshot.Find(program, atom.predicate));
-    if (rel->arity() != atom.terms.size()) {
-      return Status::InvalidArgument(
-          StrCat("query atom ", atom.predicate, " has ", atom.terms.size(),
-                 " terms, relation has arity ", rel->arity()));
+  const Rule& rule = query.rule;
+  // Sealed relation per query predicate id; the head's slot stays null
+  // so the head binds as the run's one dynamic IDB predicate.
+  std::vector<const Relation*> rels(query.support.size() + 1, nullptr);
+  bool unknown_constant = false;
+  for (const Literal& atom : rule.body) {
+    const std::string& name = query.support[atom.predicate];
+    if (rels[atom.predicate] == nullptr) {
+      INFLOG_ASSIGN_OR_RETURN(rels[atom.predicate],
+                              snapshot.Find(program, name));
     }
-    rels.push_back(rel);
+    const size_t arity = rels[atom.predicate]->arity();
+    if (arity != atom.args.size()) {
+      return Status::InvalidArgument(
+          StrCat("query atom ", name, " has ", atom.args.size(),
+                 " terms, relation has arity ", arity));
+    }
+    for (const Term& t : atom.args) {
+      unknown_constant |= t.IsConstant() && t.id == kNoValue;
+    }
+  }
+  Relation out(rule.head.args.size());
+  if (!unknown_constant) {
+    Program one_rule(EmptyDatabase().shared_symbols());
+    for (size_t p = 0; p < query.support.size(); ++p) {
+      INFLOG_RETURN_IF_ERROR(
+          one_rule.GetOrAddPredicate(query.support[p], rels[p]->arity())
+              .status());
+    }
+    INFLOG_RETURN_IF_ERROR(
+        one_rule.GetOrAddPredicate(kHeadPredicate, out.arity()).status());
+    INFLOG_RETURN_IF_ERROR(one_rule.AddRule(rule));
+    INFLOG_ASSIGN_OR_RETURN(
+        const EvalContext ctx,
+        EvalContext::CreateWithOverrides(one_rule, EmptyDatabase(),
+                                         std::move(rels)));
+    const RulePlan plan = PlanRule(one_rule, /*rule_index=*/0,
+                                   /*dynamic_idb=*/{true},
+                                   /*delta_literal=*/-1);
+    EvalStats stats;
+    ExecutePlan(ctx, plan, IdbState{}, /*deltas=*/nullptr, &out, &stats);
   }
   ServeAnswer answer;
   answer.ground = query.ground();
-  Relation out(query.output_vars.size());
-  QueryJoiner joiner(query, rels, &out);
-  const bool any = joiner.Run();
   if (answer.ground) {
-    answer.truth = any;
-    answer.rendered = any ? "true" : "false";
+    answer.truth = !out.empty();
+    answer.rendered = answer.truth ? "true" : "false";
   } else {
     answer.rows = out.SortedTuples();
     answer.rendered = out.ToString(snapshot.symbols());

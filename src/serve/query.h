@@ -9,7 +9,8 @@
 //   ?R(X,_,X)            — `_` matches anything and is not output
 //
 // Terms follow the program syntax: an identifier starting with an
-// uppercase letter (or `_`) is a variable, anything else a constant.
+// uppercase letter (or `_`) is a variable, anything else a constant, and
+// a quoted constant `'x y'` stands for its unquoted text, as in facts.
 // Results are the distinct bindings of the named variables in
 // first-appearance order, rendered in the same canonical sorted `{...}`
 // form Relation::ToString uses — so serve-mode output diffs cleanly
@@ -18,13 +19,17 @@
 // Parsing resolves constants against a *frozen* snapshot symbol table
 // (lookup only, never interning): a constant the epoch has never seen
 // simply matches nothing. The canonical cache key renames variables to
-// $0,$1,... in appearance order and renders constants by name, so
-// alpha-equivalent queries share one cache entry across epochs.
+// $0,$1,... in appearance order and renders constants by name, quoting
+// any that would not lex bare, so alpha-equivalent queries share one
+// cache entry across epochs and `?P('a,b')` never shares `?P(a,b)`'s.
+//
+// Evaluation has no join engine of its own: a query is one application
+// of the paper's operator Θ to the one-rule program `?(X̄) :- body`, and
+// runs through the same planner and executor as batch rules.
 
 #ifndef INFLOG_SERVE_QUERY_H_
 #define INFLOG_SERVE_QUERY_H_
 
-#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,32 +41,20 @@
 namespace inflog {
 namespace serve {
 
-/// One term of a query atom: a variable (dense id, appearance order) or a
-/// constant (kNoValue when the snapshot's table does not know the name —
-/// such an atom matches nothing at this epoch).
-struct ServeTerm {
-  bool is_var = false;
-  uint32_t var = 0;       ///< is_var: dense variable id.
-  Value constant = kNoValue;  ///< !is_var: interned id or kNoValue.
-};
-
-/// One positive atom `Pred(t1,...,tn)`.
-struct ServeAtom {
-  std::string predicate;
-  std::vector<ServeTerm> terms;
-};
-
 /// A parsed query, ready to evaluate against any snapshot whose symbol
 /// table extends the one it was parsed with.
 struct ServeQuery {
-  std::vector<ServeAtom> atoms;
-  uint32_t num_vars = 0;
-  /// Dense ids of the *named* variables, in first-appearance order (the
-  /// output columns). `_` terms get ids past these and are projected away.
-  std::vector<uint32_t> output_vars;
-  std::vector<std::string> output_names;  ///< Parallel to output_vars.
+  /// The query as the one rule `?(X̄) :- atoms` that EvalServeQuery
+  /// plans and executes. The head's arguments are the named variables in
+  /// first-appearance order; the body is the atoms in written order.
+  /// Variable ids are dense in appearance order, and every `_` gets a
+  /// fresh id that the head projects away. Body predicate ids index
+  /// `support`; the head's predicate id is support.size(). A constant the
+  /// parsing symbol table does not know is kNoValue.
+  Rule rule;
+  std::vector<std::string> output_names;  ///< Parallel to rule.head.args.
   /// Canonical cache key: variables renamed positionally, constants by
-  /// name.
+  /// name (quoted unless they lex as a bare constant).
   std::string key;
   /// Sorted, deduplicated predicate names the query reads — its cache
   /// support set.
@@ -69,7 +62,7 @@ struct ServeQuery {
 
   /// True for a fully ground query (no variables): the answer is a truth
   /// value, not a set.
-  bool ground() const { return num_vars == 0; }
+  bool ground() const { return rule.num_vars == 0; }
 };
 
 /// Parses a `?...` query line. `symbols` is used for constant lookup only
@@ -86,13 +79,16 @@ struct ServeAnswer {
   std::string rendered;
 };
 
-/// Evaluates `query` against `snapshot` by index-nested-loop join over
-/// the sealed relations (atoms in written order; bound columns probe the
-/// per-shard postings, unbound atoms scan). Deterministic: shard-major
-/// ascending row order, output sorted. Pure reads only — safe from any
-/// number of threads concurrently. NotFound when an atom names a
-/// relation neither the program nor the snapshot knows; InvalidArgument
-/// on arity mismatch.
+/// Evaluates `query` against `snapshot` with the batch rule pipeline:
+/// query.rule goes into a throwaway one-rule Program whose body
+/// predicates are bound to the snapshot's sealed relations
+/// (EvalContext::CreateWithOverrides), PlanRule orders the atoms (most
+/// bound columns first, so the written order does not matter), and
+/// ExecutePlan derives the answer relation. Output sorted. Pure reads
+/// only — safe from any number of threads concurrently. NotFound when an
+/// atom names a relation neither the program nor the snapshot knows;
+/// InvalidArgument on arity mismatch. An unknown constant matches
+/// nothing, so such a query is answered empty without being run.
 Result<ServeAnswer> EvalServeQuery(const ServeQuery& query,
                                    const Program& program,
                                    const DatabaseSnapshot& snapshot);

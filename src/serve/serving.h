@@ -6,8 +6,9 @@
 //   ApplyUpdate(batch)                 Pin() -> snapshot handle E
 //     IncrementalSession::ApplyUpdate  Query(line):
 //     CompactDeadRelations (periodic)    parse against E's frozen symbols
-//     SnapshotRegistry::Publish(E+1)     cache lookup (key, E)
-//     QueryCache::Advance(deltas, E+1)   miss: EvalServeQuery on E, insert
+//     SnapshotRegistry::Publish(E+1)     cache lookup (key, E), after
+//     QueryCache::Advance(deltas, E+1)     any sweep Advance deferred
+//                                        miss: EvalServeQuery on E, insert
 //
 // The writer owns the live Database and the IncrementalSession; readers
 // only ever touch sealed snapshots, the mutex-guarded cache and a few

@@ -10,14 +10,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "src/ast/parser.h"
+#include "src/base/rng.h"
 #include "src/core/engine.h"
 #include "src/eval/stratified.h"
 #include "src/serve/cache.h"
@@ -499,6 +504,304 @@ TEST_F(ServingTest, ServingRegistryCounters) {
   auto snap = engine_->Open();
   ASSERT_TRUE(snap.ok());
   EXPECT_EQ((*snap)->stats().serve_updates, 1u);
+}
+
+TEST_F(ServingTest, ServingQuotedConstants) {
+  // Facts intern a quoted constant as its unquoted text; a query spells
+  // it the same way.
+  Load("Q(X) :- P(X).", "P('Alice'). P('x y'). P('a,b'). P(a).");
+  Begin();
+  EXPECT_EQ(Answer("?P('Alice')"), "true");
+  EXPECT_EQ(Answer("?P('x y')"), "true");
+  EXPECT_EQ(Answer("?Q('a,b')"), "true");
+  EXPECT_EQ(Answer("?P('alice')"), "false");
+  EXPECT_EQ(Answer("?P('a')"), Answer("?P(a)"));
+  EXPECT_EQ(Answer("?P(X), Q(X)"), Answer("?P(X)"));
+  // Cached under a key that a two-constant atom cannot share: the arity
+  // error below must not be answered from the cache.
+  auto arity = engine_->Query("?P(a,b)");
+  ASSERT_FALSE(arity.ok());
+  EXPECT_EQ(arity.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(engine_->Query("?P('Alice)").ok());  // unterminated quote
+
+  SymbolTable symbols;
+  auto one = serve::ParseServeQuery("?R('a,b', 'x y', 'Bo')", symbols);
+  auto two = serve::ParseServeQuery("?R(a,b)", symbols);
+  auto bare = serve::ParseServeQuery("?R('c', '12')", symbols);
+  ASSERT_TRUE(one.ok() && two.ok() && bare.ok());
+  EXPECT_EQ(one->key, "R('a,b','x y','Bo')");
+  EXPECT_EQ(two->key, "R(a,b)");
+  EXPECT_EQ(bare->key, "R(c,12)");  // quoting a bare constant changes nothing
+  EXPECT_TRUE(one->ground());
+}
+
+TEST_F(ServingTest, ServingCacheSweepsDeferredAdvances) {
+  // Two updates on different islands land before any cache lookup: the
+  // one deferred sweep must kill both touched entries and carry the
+  // untouched one to the latest epoch.
+  Load(std::string(kTwoIslandProgram) + "V(X) :- R(X).\n",
+       std::string(kTwoIslandFacts) + " R(5).");
+  Begin();
+  Answer("?T(1,X)");  // support {T}
+  Answer("?U(X)");    // support {U}
+  Answer("?V(X)");    // support {V}
+  Update({Fact("E", {"4", "5"})}, {});
+  Update({Fact("S", {"9"})}, {});
+  serve::ServingSession* session = Session();
+  EXPECT_EQ(session->stats().cache_invalidations, 2u);
+  EXPECT_EQ(Answer("?V(X)"), "{(5)}");
+  EXPECT_EQ(Answer("?U(X)"), "{(7), (8), (9)}");
+  EXPECT_EQ(Answer("?T(1,X)"), "{(2), (3), (4), (5)}");
+  EXPECT_EQ(session->stats().cache_hits, 1u);  // only ?V(X) survived
+
+  // The same on a bare cache, with nothing at all between the Advances.
+  serve::QueryCache cache;
+  const serve::ServeAnswer answer;
+  cache.Insert("T", 0, {"T"}, answer);
+  cache.Insert("U", 0, {"U"}, answer);
+  cache.Insert("V", 0, {"V"}, answer);
+  const std::vector<std::string> first = {"E", "T"};
+  const std::vector<std::string> second = {"S", "U"};
+  cache.Advance(&first, 1);
+  cache.Advance(&second, 2);
+  EXPECT_FALSE(cache.Lookup("V", 1).has_value());
+  EXPECT_TRUE(cache.Lookup("V", 2).has_value());
+  EXPECT_FALSE(cache.Lookup("T", 2).has_value());
+  EXPECT_FALSE(cache.Lookup("U", 2).has_value());
+  EXPECT_EQ(cache.invalidations(), 2u);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+// Differential oracle for the query engine: seeded random conjunctive
+// queries of 1–3 atoms over random EDB/IDB snapshots, each answer
+// compared with a brute-force nested-loop join kept here as the
+// reference.
+namespace differential {
+
+struct Atom {
+  std::string predicate;
+  std::vector<std::string> terms;  ///< variables, `_`, or constant names
+};
+
+bool IsVariable(const std::string& term) {
+  return !term.empty() && (std::isupper(static_cast<unsigned char>(
+                               term.front())) != 0 ||
+                           term.front() == '_');
+}
+
+/// A constant as query or fact text: bare when it lexes as a constant,
+/// quoted otherwise.
+std::string Spell(const std::string& constant) {
+  const bool bare =
+      !constant.empty() &&
+      (std::islower(static_cast<unsigned char>(constant.front())) != 0 ||
+       std::isdigit(static_cast<unsigned char>(constant.front())) != 0) &&
+      constant.find_first_of(" ,'") == std::string::npos;
+  return bare ? constant : "'" + constant + "'";
+}
+
+std::string QueryLine(const std::vector<Atom>& atoms) {
+  std::string line = "?";
+  for (size_t a = 0; a < atoms.size(); ++a) {
+    line += (a == 0 ? "" : ", ") + atoms[a].predicate + "(";
+    for (size_t t = 0; t < atoms[a].terms.size(); ++t) {
+      const std::string& term = atoms[a].terms[t];
+      line += (t == 0 ? "" : ",") + (IsVariable(term) ? term : Spell(term));
+    }
+    line += ")";
+  }
+  return line;
+}
+
+/// The reference evaluator: atoms joined in written order by scanning
+/// every row, constants compared by name (an unknown one matches
+/// nothing), the named variables' distinct bindings in first-appearance
+/// order rendered like Relation::ToString, "true"/"false" when ground.
+std::string BruteForce(const std::vector<Atom>& atoms, const Program& program,
+                       const serve::DatabaseSnapshot& snap) {
+  std::vector<std::vector<Tuple>> rows;
+  std::vector<std::string> outputs;
+  bool ground = true;
+  for (const Atom& atom : atoms) {
+    auto rel = snap.Find(program, atom.predicate);
+    INFLOG_CHECK(rel.ok()) << rel.status().ToString();
+    rows.push_back((*rel)->SortedTuples());
+    for (const std::string& term : atom.terms) {
+      if (!IsVariable(term)) continue;
+      ground = false;
+      if (term != "_" &&
+          std::find(outputs.begin(), outputs.end(), term) == outputs.end()) {
+        outputs.push_back(term);
+      }
+    }
+  }
+  Relation out(outputs.size());
+  std::map<std::string, Value> binding;
+  std::function<void(size_t)> join = [&](size_t a) {
+    if (a == atoms.size()) {
+      Tuple row;
+      for (const std::string& name : outputs) row.push_back(binding[name]);
+      out.Insert(row);
+      return;
+    }
+    for (const Tuple& row : rows[a]) {
+      const std::map<std::string, Value> saved = binding;
+      bool match = true;
+      for (size_t c = 0; c < row.size() && match; ++c) {
+        const std::string& term = atoms[a].terms[c];
+        if (term == "_") continue;
+        if (IsVariable(term)) {
+          const auto [it, inserted] = binding.emplace(term, row[c]);
+          match = inserted || it->second == row[c];
+        } else {
+          match = snap.symbols().Name(row[c]) == term;
+        }
+      }
+      if (match) join(a + 1);
+      binding = saved;
+    }
+  };
+  join(0);
+  if (ground) return out.empty() ? "false" : "true";
+  return out.ToString(snap.symbols());
+}
+
+constexpr size_t kWide = 17;  // wider than any fixed per-row buffer
+const std::vector<std::string> kDomain = {"0", "1", "2", "a", "Bob", "x y"};
+const std::vector<std::pair<std::string, size_t>> kPredicates = {
+    {"E", 2}, {"F", 2}, {"S", 1}, {"T", 2}, {"P", 2}, {"N", 1},
+    {"W", kWide}, {"H", kWide}};
+
+std::string RandomFact(Rng* rng, const std::string& relation, size_t arity) {
+  std::string fact = relation + "(";
+  for (size_t c = 0; c < arity; ++c) {
+    // Wide rows draw from three values so selections and joins match.
+    const size_t pool = arity == kWide ? 3 : kDomain.size();
+    fact += (c == 0 ? "" : ",") + Spell(kDomain[rng->Uniform(pool)]);
+  }
+  return fact + ")";
+}
+
+std::vector<Atom> RandomQuery(Rng* rng) {
+  const std::vector<std::string> vars = {"X", "Y", "Z"};
+  std::vector<Atom> atoms(1 + rng->Uniform(3));
+  for (Atom& atom : atoms) {
+    // Wide predicates are rarer: their 17 columns dominate a query.
+    size_t p = rng->Uniform(kPredicates.size());
+    if (kPredicates[p].second == kWide && rng->Bernoulli(0.5)) p = 0;
+    atom.predicate = kPredicates[p].first;
+    for (size_t c = 0; c < kPredicates[p].second; ++c) {
+      const double r = rng->UniformDouble();
+      if (r < 0.45) {
+        atom.terms.push_back(vars[rng->Uniform(vars.size())]);
+      } else if (r < 0.6) {
+        atom.terms.push_back("_");
+      } else if (r < 0.97) {
+        atom.terms.push_back(kDomain[rng->Uniform(kDomain.size())]);
+      } else {
+        atom.terms.push_back("zz");  // never interned
+      }
+    }
+  }
+  const double shape = rng->UniformDouble();
+  for (Atom& atom : atoms) {
+    for (std::string& term : atom.terms) {
+      if (!IsVariable(term)) continue;
+      if (shape < 0.1) term = "_";  // all-anonymous
+      if (shape > 0.9) term = kDomain[rng->Uniform(3)];  // ground
+    }
+  }
+  return atoms;
+}
+
+}  // namespace differential
+
+TEST_F(ServingTest, ServingRandomQueriesMatchBruteForce) {
+  using differential::Atom;
+  std::string wide_head;
+  for (size_t c = 0; c < differential::kWide; ++c) {
+    wide_head += (c == 0 ? "A" : ",A") + std::to_string(c);
+  }
+  const std::string program_text =
+      "T(X,Y) :- E(X,Y).\n"
+      "T(X,Z) :- T(X,Y), E(Y,Z).\n"
+      "P(X,Y) :- F(X,Y), S(Y).\n"
+      "N(X) :- S(X), !T(X,X).\n"
+      "H(" + wide_head + ") :- W(" + wide_head + ").\n";
+  // Misordered joins (the selective atom written last) on top of the
+  // random mix.
+  const std::vector<std::vector<Atom>> fixed = {
+      {{"N", {"X"}}, {"E", {"X", "1"}}},
+      {{"T", {"X", "Y"}}, {"T", {"Y", "Z"}}, {"E", {"Z", "0"}}},
+      {{"S", {"X"}}, {"P", {"Y", "X"}}, {"F", {"Y", "a"}}},
+      {{"W", std::vector<std::string>(differential::kWide, "X")}},
+  };
+  size_t queries = 0;
+  size_t nonempty = 0;
+  for (const size_t shards : {size_t{1}, size_t{2}, size_t{8}}) {
+    for (const uint64_t seed : {uint64_t{1}, uint64_t{2}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "shards=" << shards << " seed=" << seed);
+      Rng rng(seed * 1000 + shards);
+      std::string facts;
+      for (const auto& [relation, arity, count] :
+           std::vector<std::tuple<std::string, size_t, size_t>>{
+               {"E", 2, 12}, {"F", 2, 10}, {"S", 1, 3},
+               {"W", differential::kWide, 6}}) {
+        for (size_t i = 0; i < count; ++i) {
+          facts += differential::RandomFact(&rng, relation, arity) + ".\n";
+        }
+      }
+      auto symbols = std::make_shared<SymbolTable>();
+      Program program = testing::MustProgram(program_text, symbols);
+      Database database(symbols);
+      ASSERT_TRUE(ParseDatabaseInto(facts, &database).ok());
+      IncrementalOptions options;
+      options.semantics = MaintainedSemantics::kStratified;
+      options.context.num_shards = shards;
+      auto session =
+          serve::ServingSession::Create(program, &database, options);
+      ASSERT_TRUE(session.ok()) << session.status().ToString();
+      for (size_t epoch = 0; epoch < 3; ++epoch) {
+        if (epoch > 0) {
+          // A random edge and wide row in and out between epochs.
+          UpdateBatch batch;
+          for (const auto& [relation, arity] :
+               std::vector<std::pair<std::string, size_t>>{
+                   {"E", 2}, {"W", differential::kWide}}) {
+            Database scratch(symbols);
+            ASSERT_TRUE(ParseDatabaseInto(
+                            differential::RandomFact(&rng, relation, arity) +
+                                ".",
+                            &scratch)
+                            .ok());
+            const Tuple row = (*scratch.GetRelation(relation))->SortedTuples()[0];
+            (rng.Bernoulli(0.5) ? batch.inserts : batch.deletes)
+                .emplace_back(relation, row);
+          }
+          ASSERT_TRUE((*session)->ApplyUpdate(batch).ok());
+        }
+        const serve::SnapshotHandle snap = (*session)->Pin();
+        std::vector<std::vector<Atom>> mix = fixed;
+        for (size_t q = 0; q < 40; ++q) {
+          mix.push_back(differential::RandomQuery(&rng));
+        }
+        for (const std::vector<Atom>& atoms : mix) {
+          const std::string line = differential::QueryLine(atoms);
+          const std::string expected =
+              differential::BruteForce(atoms, program, *snap);
+          auto outcome = (*session)->Query(line, snap);
+          ASSERT_TRUE(outcome.ok()) << line << ": "
+                                    << outcome.status().ToString();
+          EXPECT_EQ(outcome->answer.rendered, expected) << line;
+          ++queries;
+          if (expected != "{}" && expected != "false") ++nonempty;
+        }
+      }
+    }
+  }
+  // The mix must exercise real matches, not only empty answers.
+  EXPECT_GT(nonempty, queries / 4);
 }
 
 // The snapshot-isolation sweep (the TSan satellite): readers pin
